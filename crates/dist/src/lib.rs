@@ -19,12 +19,16 @@
 //!    community aggregates;
 //! 2. proposals are gathered in fixed shard order (each vertex is owned
 //!    exactly once, so the gather is conflict-free);
-//! 3. the halo exchange walks the owner→ghost routing table in fixed
-//!    (owner, target) order and delivers every *changed* owned label to its
-//!    ghost copies — the per-shard resident label arrays are the literal
-//!    exchanged state, revalidated against the canonical labeling every
-//!    superstep ([`DistTelemetry::lost_labels`] counts mismatches and the CI
-//!    smoke gate pins it at zero);
+//! 3. the halo exchange delivers only the wave's *changed* labels: each
+//!    move goes to its owner's resident copy and along the vertex's ghost
+//!    destination list (built once per level from the owner→ghost routing
+//!    table). Each resident slot is written at most once per wave, so the
+//!    final resident state does not depend on delivery order. The per-shard
+//!    resident label arrays are the literal exchanged state, and the sorted
+//!    per-shard community tables handed to the kernel are kept in step with
+//!    them slot by slot. The arrays are revalidated against the canonical
+//!    labeling every superstep ([`DistTelemetry::lost_labels`] counts
+//!    mismatches and the CI smoke gate pins it at zero);
 //! 4. community volumes/sizes are re-folded **on the host in ascending
 //!    vertex-id order** — a canonical order independent of the shard count.
 //!    (Folding shard partials in shard order would make the f64 sums depend
@@ -251,7 +255,7 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
                 });
             }
         }
-        let labels = sharded_level(g, &sharded, cfg, &mut exec, &mut telemetry)?;
+        let labels = sharded_level(g, sharded, cfg, &mut exec, &mut telemetry)?;
         let (level, communities) = Partition::from_vec(labels).renumbered();
         telemetry.levels += 1;
         telemetry.sharded_levels += 1;
@@ -277,11 +281,136 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
 
 /// One degree bucket's owned vertices on one shard: local ids, their global
 /// ids, and their weighted degrees, all aligned and ascending by global id.
-#[derive(Default)]
+/// `ghost_dsts[ghost_off[i]..ghost_off[i + 1]]` lists the (shard, local id)
+/// ghost copies of vertex `i` that the halo exchange refreshes when it
+/// moves.
 struct PhaseSlice {
     locals: Vec<u32>,
     globals: Vec<u32>,
     k: Vec<f64>,
+    ghost_off: Vec<u32>,
+    ghost_dsts: Vec<(u32, u32)>,
+}
+
+impl Default for PhaseSlice {
+    fn default() -> Self {
+        Self {
+            locals: Vec::new(),
+            globals: Vec::new(),
+            k: Vec::new(),
+            ghost_off: vec![0],
+            ghost_dsts: Vec::new(),
+        }
+    }
+}
+
+impl PhaseSlice {
+    fn ghosts_of(&self, i: usize) -> &[(u32, u32)] {
+        &self.ghost_dsts[self.ghost_off[i] as usize..self.ghost_off[i + 1] as usize]
+    }
+}
+
+/// One shard's community table: the sorted distinct labels of its resident
+/// (owned + ghost) vertices, with a resident count per label. The halo
+/// exchange updates it slot by slot through [`CommTable::relabel`]; labels
+/// gained or emptied during a wave are merged in or dropped by
+/// [`CommTable::settle`], so a wave costs O(changed slots + |ids|) on the
+/// shards it touches instead of a sort of every resident label.
+struct CommTable {
+    ids: Vec<u32>,
+    count: Vec<u32>,
+    /// Labels gained this wave that are not in `ids` yet (with repeats).
+    inserts: Vec<u32>,
+    /// Some `count` entry reached zero this wave.
+    emptied: bool,
+}
+
+impl CommTable {
+    /// Table of a shard at the start of a level, when every resident vertex
+    /// is its own community: `locals` is ascending, so it is the table.
+    fn singletons(locals: &[u32]) -> Self {
+        Self {
+            ids: locals.to_vec(),
+            count: vec![1; locals.len()],
+            inserts: Vec::new(),
+            emptied: false,
+        }
+    }
+
+    /// One resident slot changes from `old` to `new`. `old` is the slot's
+    /// value at the start of the wave, so it is always in `ids`.
+    fn relabel(&mut self, old: u32, new: u32) {
+        let i = self.ids.binary_search(&old).expect("resident label missing from its table");
+        self.count[i] -= 1;
+        self.emptied |= self.count[i] == 0;
+        match self.ids.binary_search(&new) {
+            Ok(j) => self.count[j] += 1,
+            Err(_) => self.inserts.push(new),
+        }
+    }
+
+    /// Drops emptied labels and merges this wave's new ones in sorted
+    /// order, after which `ids` is again exactly the resident label set.
+    /// Both steps work in place, so a wave allocates nothing.
+    fn settle(&mut self) {
+        if self.emptied {
+            let mut w = 0;
+            for r in 0..self.ids.len() {
+                if self.count[r] > 0 {
+                    self.ids[w] = self.ids[r];
+                    self.count[w] = self.count[r];
+                    w += 1;
+                }
+            }
+            self.ids.truncate(w);
+            self.count.truncate(w);
+            self.emptied = false;
+        }
+        if self.inserts.is_empty() {
+            return;
+        }
+        // Backward merge of the sorted, run-length-counted inserts into the
+        // tail-extended table. Inserts are disjoint from `ids`: a label is
+        // only inserted when the table does not hold it.
+        self.inserts.sort_unstable();
+        let distinct = 1 + self.inserts.windows(2).filter(|p| p[0] != p[1]).count();
+        let (mut i, mut j) = (self.ids.len(), self.inserts.len());
+        let mut w = i + distinct;
+        self.ids.resize(w, 0);
+        self.count.resize(w, 0);
+        while j > 0 {
+            let c = self.inserts[j - 1];
+            let run = self.inserts[..j].iter().rev().take_while(|&&x| x == c).count();
+            while i > 0 && self.ids[i - 1] > c {
+                w -= 1;
+                i -= 1;
+                self.ids[w] = self.ids[i];
+                self.count[w] = self.count[i];
+            }
+            w -= 1;
+            self.ids[w] = c;
+            self.count[w] = run as u32;
+            j -= run;
+        }
+        self.inserts.clear();
+    }
+}
+
+/// Sorted distinct labels and their multiplicities — the reference a
+/// [`CommTable`] must equal after every wave.
+fn resident_table(labels: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut sorted = labels.to_vec();
+    sorted.sort_unstable();
+    let (mut ids, mut count) = (Vec::new(), Vec::<u32>::new());
+    for c in sorted {
+        if ids.last() == Some(&c) {
+            *count.last_mut().expect("aligned with ids") += 1;
+        } else {
+            ids.push(c);
+            count.push(1);
+        }
+    }
+    (ids, count)
 }
 
 /// Shard devices plus the failover bookkeeping shared by every pass.
@@ -321,7 +450,7 @@ const SUBPHASES: usize = 8;
 /// properties — so phasing preserves bit-identity across shard counts.
 fn sharded_level(
     g: &Csr,
-    sharded: &ShardedCsr,
+    mut sharded: ShardedCsr,
     cfg: &DistConfig,
     exec: &mut ShardExec,
     telemetry: &mut DistTelemetry,
@@ -331,9 +460,18 @@ fn sharded_level(
     let two_m = g.total_weight_2m();
     let weighted_degree: Vec<f64> = (0..n as u32).map(|v| g.weighted_degree(v)).collect();
 
-    // Device-resident per-shard structures, built once per level.
-    let shard_graphs: Vec<DeviceGraph> =
-        sharded.shards.iter().map(|s| DeviceGraph::from_csr(&s.graph)).collect();
+    // Device-resident per-shard structures, built once per level. Each
+    // shard's CSR moves onto its device rather than being copied: the host
+    // never reads it again.
+    let shard_graphs: Vec<DeviceGraph> = sharded
+        .shards
+        .iter_mut()
+        .map(|s| {
+            let (offsets, targets, weights) =
+                std::mem::replace(&mut s.graph, Csr::empty(0)).into_parts();
+            DeviceGraph::from_parts(offsets, targets, weights)
+        })
+        .collect();
 
     // Degree-bucket phases in id-residue waves: phase[SUBPHASES*b + r][s]
     // holds (local id, global id, k_i) of shard s's owned vertices in
@@ -354,9 +492,12 @@ fn sharded_level(
     // owned exactly once (degree-0 vertices are counted directly).
     let mut owned_times = vec![0u32; n];
     for (s, shard) in sharded.shards.iter().enumerate() {
+        // routes[s][t] is ascending and owned by s, so one cursor per target
+        // shard pairs every owned vertex with its ghost copies in O(k) each.
+        let mut cursor = vec![0usize; k];
         for (&v, &l) in shard.owned.iter().zip(&shard.owned_locals) {
             owned_times[v as usize] += 1;
-            let d = shard.graph.degree(l);
+            let d = shard_graphs[s].degree(l as usize);
             if d == 0 {
                 continue;
             }
@@ -364,18 +505,31 @@ fn sharded_level(
             slice.locals.push(l);
             slice.globals.push(v);
             slice.k.push(weighted_degree[v as usize]);
+            for (t, route) in sharded.routes[s].iter().enumerate() {
+                if route.get(cursor[t]) == Some(&v) {
+                    cursor[t] += 1;
+                    let lt = sharded.shards[t].local_of(v).expect("routed vertex must be resident");
+                    slice.ghost_dsts.push((t as u32, lt));
+                }
+            }
+            slice.ghost_off.push(slice.ghost_dsts.len() as u32);
         }
+        debug_assert!(
+            cursor.iter().zip(&sharded.routes[s]).all(|(&c, route)| c == route.len()),
+            "shard {s}: a routed vertex has no phase slot"
+        );
     }
     telemetry.ownership_violations += owned_times.iter().filter(|&&c| c != 1).count();
 
-    // Canonical labeling (host) and the per-shard resident copies — the
-    // literal halo-exchanged state.
+    // Canonical labeling (host), the per-shard resident copies — the
+    // literal halo-exchanged state — and their community tables.
     let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut local_labels: Vec<Vec<u32>> = sharded
-        .shards
-        .iter()
-        .map(|s| s.locals.iter().map(|&v| labels[v as usize]).collect())
-        .collect();
+    let mut local_labels: Vec<Vec<u32>> = sharded.shards.iter().map(|s| s.locals.clone()).collect();
+    let mut tables: Vec<CommTable> =
+        sharded.shards.iter().map(|s| CommTable::singletons(&s.locals)).collect();
+    // This wave's committed moves as (shard, phase-slice index, new label),
+    // in gather order.
+    let mut wave_moves: Vec<(usize, usize, u32)> = Vec::new();
 
     let mut vol = vec![0.0f64; n];
     let mut size = vec![0u32; n];
@@ -414,69 +568,65 @@ fn sharded_level(
             }
 
             // Shard passes in fixed shard order, each on its own device
-            // through the retry/failover ladder.
-            let mut proposals: Vec<Vec<u32>> = Vec::with_capacity(k);
+            // through the retry/failover ladder. Every pass reads the
+            // wave's frozen state, so moves are only collected here (in
+            // gather order: shard, then ascending global id) and applied
+            // after the last pass.
+            wave_moves.clear();
             for (s, slice) in phase.iter().enumerate() {
                 if slice.locals.is_empty() {
-                    proposals.push(Vec::new());
                     continue;
                 }
-                let mut comm_ids: Vec<u32> = local_labels[s].clone();
-                comm_ids.sort_unstable();
-                comm_ids.dedup();
-                let comm_vol: Vec<f64> = comm_ids.iter().map(|&c| vol[c as usize]).collect();
-                let comm_size: Vec<u32> = comm_ids.iter().map(|&c| size[c as usize]).collect();
+                let table = &tables[s];
+                let comm_vol: Vec<f64> = table.ids.iter().map(|&c| vol[c as usize]).collect();
+                let comm_size: Vec<u32> = table.ids.iter().map(|&c| size[c as usize]).collect();
                 let view = HaloView {
                     graph: &shard_graphs[s],
                     owned: &slice.locals,
                     k: &slice.k,
                     labels: &local_labels[s],
-                    comm_ids: &comm_ids,
+                    comm_ids: &table.ids,
                     comm_vol: &comm_vol,
                     comm_size: &comm_size,
                     two_m,
                 };
-                proposals.push(pass_with_recovery(&view, cfg, exec, s, superstep)?);
+                let props = pass_with_recovery(&view, cfg, exec, s, superstep)?;
+                for (i, (&v, &p)) in slice.globals.iter().zip(&props).enumerate() {
+                    if p != labels[v as usize] {
+                        wave_moves.push((s, i, p));
+                    }
+                }
             }
+            moves += wave_moves.len();
 
-            // Gather in fixed shard order. Ownership is exclusive (audited
-            // above), so every phase vertex is written exactly once.
-            let mut staged = labels.clone();
-            for (slice, props) in phase.iter().zip(&proposals) {
-                for (&v, &p) in slice.globals.iter().zip(props) {
-                    if p != staged[v as usize] {
-                        staged[v as usize] = p;
-                        moves += 1;
-                    }
+            // Halo exchange of the changed labels only: the owner refreshes
+            // its resident copy, then the label goes to every ghost copy of
+            // the vertex. Ownership is exclusive (audited above) and each
+            // vertex has at most one copy per shard, so every resident slot
+            // is written at most once per wave and the final state does not
+            // depend on the delivery order.
+            for &(s, i, p) in &wave_moves {
+                let slice = &phase[s];
+                labels[slice.globals[i] as usize] = p;
+                let mut write = |t: usize, l: usize| {
+                    let old = std::mem::replace(&mut local_labels[t][l], p);
+                    tables[t].relabel(old, p);
+                };
+                write(s, slice.locals[i] as usize);
+                for &(t, lt) in slice.ghosts_of(i) {
+                    write(t as usize, lt as usize);
+                    telemetry.ghost_updates += 1;
+                    telemetry.ghost_bytes += 8; // (vertex id, label)
                 }
             }
-
-            // Halo exchange: owners refresh their resident copies and push
-            // every *changed* label along the routing table in fixed
-            // (owner, target) order.
-            for (s, slice) in phase.iter().enumerate() {
-                for (&v, &l) in slice.globals.iter().zip(&slice.locals) {
-                    local_labels[s][l as usize] = staged[v as usize];
-                }
-            }
-            for s in 0..k {
-                for (t, target_labels) in local_labels.iter_mut().enumerate() {
-                    if t == s {
-                        continue;
-                    }
-                    for &v in &sharded.routes[s][t] {
-                        if staged[v as usize] != labels[v as usize] {
-                            let l = sharded.shards[t]
-                                .local_of(v)
-                                .expect("routed vertex must be resident");
-                            target_labels[l as usize] = staged[v as usize];
-                            telemetry.ghost_updates += 1;
-                            telemetry.ghost_bytes += 8; // (vertex id, label)
-                        }
-                    }
-                }
-            }
-            labels = staged;
+            tables.iter_mut().for_each(CommTable::settle);
+            debug_assert!(
+                tables.iter().zip(&local_labels).all(|(table, resident)| {
+                    let (ids, count) = resident_table(resident);
+                    table.ids == ids && table.count == count
+                }),
+                "a community table diverged from its resident labels"
+            );
             telemetry.exchange_rounds += 1;
         }
         if first_level && superstep == 0 {
@@ -652,6 +802,33 @@ mod tests {
         let mut cfg = DistConfig::k40m(num_shards);
         cfg.device.global_mem_bytes = mem;
         cfg
+    }
+
+    #[test]
+    fn comm_table_tracks_its_resident_labels() {
+        // Waves of random relabelings, each slot written at most once per
+        // wave, against the sort + dedup reference: labels leave, return,
+        // arrive several times in one wave, and empty out.
+        let mut resident: Vec<u32> = (0..64).map(|v| 2 * v).collect();
+        let mut table = CommTable::singletons(&resident);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m) as usize
+        };
+        for _ in 0..300 {
+            let mut unwritten: Vec<usize> = (0..resident.len()).collect();
+            for _ in 0..next(24) {
+                let slot = unwritten.swap_remove(next(unwritten.len() as u64));
+                let new = next(40) as u32;
+                let old = std::mem::replace(&mut resident[slot], new);
+                table.relabel(old, new);
+            }
+            table.settle();
+            assert_eq!((table.ids.clone(), table.count.clone()), resident_table(&resident));
+        }
     }
 
     #[test]

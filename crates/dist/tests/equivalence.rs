@@ -7,11 +7,15 @@
 //! acceptance scale; this test keeps the property under `cargo test` on a
 //! size the suite can afford.
 
-use cd_core::{estimated_device_bytes, louvain_gpu, GpuLouvainConfig};
+use cd_core::{
+    estimated_device_bytes, louvain_gpu, GpuLouvainConfig, WidthSchedule, MODOPT_BUCKETS,
+};
 use cd_dist::{louvain_sharded, DistConfig};
-use cd_gpusim::Device;
+use cd_gpusim::{Device, Profile};
 use cd_graph::apply_delta;
+use cd_graph::gen::{rmat, RmatParams};
 use cd_workloads::{churn, load, Scale};
+use std::collections::HashSet;
 
 #[test]
 fn sharded_quality_stays_inside_the_oracle_dispersion_band() {
@@ -34,7 +38,7 @@ fn sharded_quality_stays_inside_the_oracle_dispersion_band() {
 
         // Devices sized below the graph: only the sharded path can run it.
         let mut dcfg = DistConfig::k40m(3);
-        dcfg.gpu = cfg.clone();
+        dcfg.gpu = cfg;
         dcfg.device.global_mem_bytes = estimated_device_bytes(&g) * 4 / 5;
         let r = louvain_sharded(&g, &dcfg).expect("sharded run");
 
@@ -48,5 +52,48 @@ fn sharded_quality_stays_inside_the_oracle_dispersion_band() {
         );
         assert_eq!(r.telemetry.lost_labels, 0, "{name}: halo exchange lost labels");
         assert_eq!(r.telemetry.ownership_violations, 0, "{name}: ownership violated");
+    }
+}
+
+/// Bit-identity at a scale where the incremental community tables do real
+/// work: an R-MAT graph whose input level spans several degree buckets and
+/// runs several supersteps of non-empty waves. Shards ∈ {2, 4} × threads ∈
+/// {1, 8} must agree on labels, Q bits and exchange volume. In a debug build
+/// every wave also asserts that each shard's table equals the sorted
+/// distinct labels of its resident vertices.
+#[test]
+fn rmat_is_bit_identical_across_shards_and_threads() {
+    let g = rmat(11, 8, RmatParams::GRAPH500, 3);
+    // The driver's waves: each degree bucket split into eight id residues.
+    let widths = WidthSchedule::new(&MODOPT_BUCKETS);
+    let mut waves = HashSet::new();
+    for v in 0..g.num_vertices() as u32 {
+        let d = g.degree(v);
+        if d > 0 {
+            waves.insert((widths.bucket_for(d), v % 8));
+        }
+    }
+    let buckets: HashSet<usize> = waves.iter().map(|&(b, _)| b).collect();
+    assert!(buckets.len() >= 4, "only {} degree buckets", buckets.len());
+
+    let mem = estimated_device_bytes(&g) * 4 / 5;
+    let mut outs = Vec::new();
+    for shards in [2usize, 4] {
+        for threads in [1usize, 8] {
+            let mut cfg = DistConfig::k40m(shards);
+            cfg.device = cfg.device.with_profile(Profile::Parallel).with_threads(threads);
+            cfg.device.global_mem_bytes = mem;
+            let r = louvain_sharded(&g, &cfg).expect("sharded run");
+            let t = &r.telemetry;
+            assert_eq!((t.lost_labels, t.ownership_violations), (0, 0));
+            // One sharded level runs every non-empty wave once per
+            // superstep, so this is "at least three supersteps".
+            assert_eq!(t.sharded_levels, 1);
+            assert!(t.exchange_rounds >= 3 * waves.len(), "{} rounds", t.exchange_rounds);
+            outs.push((r.partition.into_vec(), r.modularity.to_bits(), t.exchange_rounds));
+        }
+    }
+    for o in &outs[1..] {
+        assert_eq!(o, &outs[0]);
     }
 }

@@ -170,6 +170,12 @@ impl Csr {
         &self.weights
     }
 
+    /// Consumes the graph, returning its `(offsets, targets, weights)`
+    /// arrays — the inverse of [`Self::from_parts`], without a copy.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
+        (self.offsets, self.targets, self.weights)
+    }
+
     /// Maximum unweighted degree.
     pub fn max_degree(&self) -> usize {
         (0..self.num_vertices() as VertexId).map(|v| self.degree(v)).max().unwrap_or(0)

@@ -403,11 +403,18 @@ impl ShardedCsr {
                 }
             }
         }
+        // One marking pass over each shard's owned rows: `mark[u] == t + 1`
+        // iff some vertex shard t owns is adjacent to u. O(arcs) in total.
+        let mut mark = vec![0u32; n];
         for (t, shard) in self.shards.iter().enumerate() {
+            let stamp = t as u32 + 1;
+            for &v in &shard.owned {
+                for &u in g.neighbors(v) {
+                    mark[u as usize] = stamp;
+                }
+            }
             for &gv in &shard.ghosts {
-                let justified =
-                    shard.owned.iter().any(|&v| g.neighbors(v).binary_search(&gv).is_ok());
-                if !justified {
+                if mark.get(gv as usize) != Some(&stamp) {
                     return Err(format!("ghost {gv} on shard {t} has no cut edge"));
                 }
             }
@@ -521,6 +528,83 @@ mod tests {
             let arcs: usize = sharded.shards.iter().map(|s| s.graph.num_arcs()).sum();
             assert_eq!(arcs, g.num_arcs());
         }
+    }
+
+    /// A 3-shard split of a planted partition that has cut edges, plus a
+    /// shard with at least one ghost.
+    fn fixture() -> (Csr, ShardedCsr, usize) {
+        let g = planted_partition(3, 20, 0.4, 0.1, 5).graph;
+        let sharded = ShardedCsr::build(&g, 3);
+        sharded.validate(&g).unwrap();
+        let t = sharded.shards.iter().position(|s| !s.ghosts.is_empty()).expect("a cut edge");
+        (g, sharded, t)
+    }
+
+    fn rejection(sharded: &ShardedCsr, g: &Csr) -> String {
+        sharded.validate(g).expect_err("corruption must be rejected")
+    }
+
+    #[test]
+    fn validate_rejects_an_unjustified_ghost() {
+        let (g, mut sharded, _) = fixture();
+        // On the last shard, a vertex of shard 0 that no row of the last
+        // shard touches but shard 0's own rows do: only a per-shard mark
+        // tells the two apart.
+        let t = sharded.num_shards() - 1;
+        let shard = &sharded.shards[t];
+        let gv = (0..g.num_vertices() as VertexId)
+            .find(|&u| {
+                sharded.owner[u as usize] == 0
+                    && g.neighbors(u).iter().any(|&x| sharded.owner[x as usize] == 0)
+                    && shard.local_of(u).is_none()
+                    && shard.owned.iter().all(|&v| g.neighbors(v).binary_search(&u).is_err())
+            })
+            .expect("a shard-0 vertex the last shard does not touch");
+        let shard = &mut sharded.shards[t];
+        for list in [&mut shard.ghosts, &mut shard.locals] {
+            let at = list.binary_search(&gv).unwrap_err();
+            list.insert(at, gv);
+        }
+        assert_eq!(rejection(&sharded, &g), format!("ghost {gv} on shard {t} has no cut edge"));
+    }
+
+    #[test]
+    fn validate_rejects_a_missing_ghost() {
+        let (g, mut sharded, t) = fixture();
+        let shard = &mut sharded.shards[t];
+        let gv = shard.ghosts.remove(0);
+        shard.locals.retain(|&u| u != gv);
+        let err = rejection(&sharded, &g);
+        assert!(err.ends_with(&format!("{gv} is not a ghost of shard {t}")), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_route_from_a_non_owner() {
+        let (g, mut sharded, t) = fixture();
+        // Shard t's ghost, routed as if shard t owned it.
+        let gv = sharded.shards[t].ghosts[0];
+        let to = (t + 1) % sharded.num_shards();
+        sharded.routes[t][to].insert(0, gv);
+        assert_eq!(
+            rejection(&sharded, &g),
+            format!("route {t}->{to} carries {gv} not owned by {t}")
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_vertex_owned_twice() {
+        let (g, mut sharded, _) = fixture();
+        let v = sharded.shards[0].owned[0];
+        sharded.shards[0].owned.insert(0, v);
+        assert_eq!(rejection(&sharded, &g), format!("vertex {v} owned twice"));
+        // Listed by a second shard, it contradicts the owner table instead.
+        let (g, mut sharded, _) = fixture();
+        let v = sharded.shards[0].owned[0];
+        sharded.shards[1].owned.insert(0, v);
+        assert_eq!(
+            rejection(&sharded, &g),
+            format!("vertex {v} in shard 1 but owner table says 0")
+        );
     }
 
     #[test]

@@ -63,6 +63,31 @@ proptest! {
     }
 
     #[test]
+    fn validate_accepts_every_sharding_and_rejects_a_dropped_ghost(
+        g in arb_graph(),
+        k in 1usize..6,
+        pick in 0usize..10_000,
+    ) {
+        let mut sharded = ShardedCsr::build(&g, k);
+        prop_assert_eq!(sharded.validate(&g), Ok(()));
+        // Dropping any one ghost leaves a cut edge without its ghost.
+        let ghosts: Vec<(usize, usize)> = sharded
+            .shards
+            .iter()
+            .enumerate()
+            .flat_map(|(t, s)| (0..s.ghosts.len()).map(move |i| (t, i)))
+            .collect();
+        if !ghosts.is_empty() {
+            let (t, i) = ghosts[pick % ghosts.len()];
+            let shard = &mut sharded.shards[t];
+            let gv = shard.ghosts.remove(i);
+            shard.locals.retain(|&u| u != gv);
+            let err = sharded.validate(&g).unwrap_err();
+            prop_assert!(err.contains("is not a ghost of shard"), "{}", err);
+        }
+    }
+
+    #[test]
     fn partitioner_is_deterministic(g in arb_graph(), k in 1usize..6) {
         // Pure sequential host code: two runs are identical, which is the
         // thread-count independence claim (nothing here depends on
