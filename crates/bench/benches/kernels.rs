@@ -96,7 +96,7 @@ fn bench_backend_paths(c: &mut Criterion) {
     let n = 100_000usize;
     let vertices: Vec<u32> = (0..n as u32).collect();
     for (name, dev) in [
-        ("lockstep", Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Fast))),
+        ("lockstep", Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented))),
         (
             "direct",
             Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Parallel).with_threads(1)),

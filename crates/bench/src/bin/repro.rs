@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro <experiment> [--scale tiny|small|medium|large|huge] [--out DIR]
-//!                    [--profile instrumented|fast|racecheck|parallel] [--clients N]
+//!                    [--profile instrumented|racecheck|parallel] [--clients N]
 //!
 //! experiments:
 //!   table1    graphs, sequential vs GPU times and modularity
@@ -22,7 +22,7 @@
 //!   schedule  multi-level threshold schedules (Section 6)
 //!   faults    fault-injection sweep and multi-device failover
 //!   opt-bench perf snapshot of the optimization hot loop (BENCH_opt.json)
-//!   backend   Instrumented vs Fast vs native-Parallel execution profiles
+//!   backend   Instrumented vs native-Parallel execution profiles, Parallel
 //!             at 1 and N worker threads (BENCH_backend.json; exits nonzero
 //!             if any backend diverges from Instrumented)
 //!   racecheck full-pipeline hazard sweep under the race detector
@@ -61,7 +61,7 @@
 //! ```
 //!
 //! `--profile` selects the execution profile for the GPU runs (default:
-//! `CD_GPUSIM_PROFILE`, instrumented if unset; `parallel` honours
+//! `CD_GPUSIM_PROFILE`, instrumented if unset; every profile honours
 //! `CD_GPUSIM_THREADS`, auto-detecting the core count when unset).
 //! Experiments whose measurement *is* the instrumented cost model reject
 //! uninstrumented profiles rather than report zero model times; `backend`
@@ -72,11 +72,11 @@ use cd_gpusim::Profile;
 use cd_workloads::Scale;
 use std::path::PathBuf;
 
-/// Experiments that stay meaningful under the `Fast` profile — they either
-/// run no GPU kernels, quote only quality numbers, or (like `backend`) pin
-/// their profiles themselves. Everything else quotes the instrumented cost
-/// model and would report zeros.
-const FAST_SAFE: [&str; 9] = [
+/// Experiments that stay meaningful under the uninstrumented `Parallel`
+/// profile — they either run no GPU kernels, quote only quality numbers, or
+/// (like `backend`) pin their profiles themselves. Everything else quotes the
+/// instrumented cost model and would report zeros.
+const PARALLEL_SAFE: [&str; 9] = [
     "backend",
     "buckets",
     "multigpu",
@@ -116,7 +116,7 @@ fn main() {
                 i += 1;
                 let v = args.get(i).unwrap_or_else(|| die("--profile needs a value"));
                 profile = Profile::parse(v)
-                    .unwrap_or_else(|| die("profile must be instrumented|fast|racecheck|parallel"));
+                    .unwrap_or_else(|| die("profile must be instrumented|racecheck|parallel"));
             }
             "--clients" => {
                 i += 1;
@@ -131,11 +131,11 @@ fn main() {
         }
         i += 1;
     }
-    if !profile.is_instrumented() && !FAST_SAFE.contains(&experiment) {
+    if !profile.is_instrumented() && !PARALLEL_SAFE.contains(&experiment) {
         die(&format!(
             "experiment '{experiment}' quotes the instrumented cost model and cannot run under \
              the {profile} profile; uninstrumented profiles support: {}",
-            FAST_SAFE.join(", ")
+            PARALLEL_SAFE.join(", ")
         ));
     }
     // Thread the selection through the device default: the stock
@@ -143,9 +143,8 @@ fn main() {
     // *require* a specific profile still pin it explicitly).
     std::env::set_var("CD_GPUSIM_PROFILE", profile.to_string());
 
-    // The effective worker count the native backend will use (1 for the
-    // lockstep profiles) — surfaced so a run's parallelism is on record next
-    // to its numbers.
+    // The worker count launches will use — surfaced so a run's parallelism
+    // is on record next to its numbers.
     let threads = cd_gpusim::DeviceConfig::tesla_k40m().with_profile(profile).effective_threads();
     println!(
         "# repro: experiment={experiment} scale={scale:?} out={} profile={profile} threads={threads}",
@@ -207,7 +206,7 @@ fn main() {
 fn print_help() {
     println!(
         "repro — regenerate the paper's tables and figures\n\n\
-         usage: repro <experiment> [--scale tiny|small|medium|large|huge] [--out DIR] [--profile instrumented|fast|racecheck|parallel] [--clients N]\n\n\
+         usage: repro <experiment> [--scale tiny|small|medium|large|huge] [--out DIR] [--profile instrumented|racecheck|parallel] [--clients N]\n\n\
          experiments: table1, fig1-2, fig3-4, fig5-6, fig7, relaxed, plm, teps, profile, ablation, buckets, multigpu, schedule, faults, opt-bench, backend, racecheck, serve, overload, incremental, portfolio, dist, all\n\
          default scale: small; outputs CSVs under DIR (default ./results)\n\
          default profile: CD_GPUSIM_PROFILE (instrumented if unset); cost-model experiments require instrumented\n\

@@ -3,11 +3,11 @@
 
 use crate::report::{f4, ratio, secs, Table};
 use crate::runner::{
-    run_cpu_parallel, run_gpu, run_gpu_parallel, run_gpu_profiled, run_plm, run_seq,
+    run_cpu_parallel, run_gpu, run_gpu_on, run_gpu_parallel, run_gpu_profiled, run_plm, run_seq,
     run_seq_adaptive,
 };
 use cd_core::{GpuLouvainConfig, HashPlacement, ThreadAssignment, UpdateStrategy};
-use cd_gpusim::Profile;
+use cd_gpusim::{DeviceConfig, Profile};
 use cd_workloads::{by_name, BuiltWorkload, Scale, WorkloadSpec, SUITE};
 use std::path::Path;
 
@@ -648,7 +648,7 @@ pub fn multigpu(scale: Scale, out: &Path) {
 /// two-level scheme.
 pub fn schedule(scale: Scale, out: &Path) {
     use cd_core::{louvain_gpu_with_schedule, ThresholdSchedule};
-    use cd_gpusim::{Device, DeviceConfig};
+    use cd_gpusim::Device;
     let subset = comparison_subset();
     let mut t = Table::new(
         format!("Extension — multi-level threshold schedules (scale: {scale:?})"),
@@ -689,7 +689,7 @@ pub fn schedule(scale: Scale, out: &Path) {
 /// to the sequential baseline.
 pub fn faults(scale: Scale, out: &Path) {
     use cd_core::{louvain_gpu, louvain_multi_gpu, MultiGpuConfig, RecoveryAction};
-    use cd_gpusim::{Device, DeviceConfig, FaultPlan};
+    use cd_gpusim::{Device, FaultPlan};
 
     let names = ["com-dblp", "road-usa", "rgg-sparse"];
     // (abort, stuck, bit-flip) per-launch rates. A stage retries as a unit,
@@ -965,16 +965,20 @@ pub fn opt_snapshot(scale: Scale, out: &Path) {
 }
 
 /// Execution-backend comparison: the same workloads under the
-/// `Instrumented`, `Fast`, and native-`Parallel` (at 1 thread and at the
-/// host's core count) execution profiles. All four runs must agree
-/// bit-for-bit on labels and modularity — the profiles differ only in what
-/// they *record* and *where blocks run* — and the process exits nonzero if
-/// they do not, which is the CI divergence gate. The payoff is opt-phase
-/// wall time, written as `BENCH_backend.json` (committed baseline at
-/// `Scale::Medium`, regenerated as a CI artifact).
+/// `Instrumented` profile (pinned at one worker thread) and the
+/// native-`Parallel` profile at 1 thread and at the host's core count. All
+/// three runs must agree bit-for-bit on labels and modularity — the
+/// profiles differ only in what they *record* and *how blocks run* — and the
+/// process exits nonzero if they do not, which is the CI divergence gate.
+/// The payoff is opt-phase wall time, written as `BENCH_backend.json`
+/// (committed baseline at `Scale::Medium`, regenerated as a CI artifact).
 pub fn backend_snapshot(scale: Scale, out: &Path) {
     let names = ["road-usa", "com-dblp", "uk2002"];
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // The cost model does not depend on the thread count; pinning it keeps
+    // the Instrumented column comparable across hosts and matched to
+    // `parallel x1`.
+    let instr_threads = 1;
     // On a single-core host the many-thread leg still runs (oversubscribed)
     // to exercise the pool path; its speedup is then a scheduling-overhead
     // measurement, not a parallelism one, and the JSON records `host_cores`
@@ -982,28 +986,28 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
     let par_n = cores.max(2);
     let mut t = Table::new(
         format!(
-            "Execution backends — opt wall time, instrumented vs fast vs parallel \
+            "Execution backends — opt wall time, instrumented x{instr_threads} vs parallel \
              (scale: {scale:?}, host cores: {cores})"
         ),
         &[
             "graph",
             "pruning",
             "instr[s]",
-            "fast[s]",
             "par@1[s]",
             &format!("par@{par_n}[s]"),
-            "par@1/fast",
-            &format!("par@{par_n}/fast"),
+            "instr/par@1",
+            &format!("instr/par@{par_n}"),
             "Q",
             "labels",
         ],
     );
     let mut entries = String::new();
-    let mut fast_speedups = Vec::new();
     let mut par1_speedups = Vec::new();
     let mut parn_speedups = Vec::new();
     let mut max_drift = 0.0f64;
     let mut all_identical = true;
+    let instr_cfg =
+        DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented).with_threads(instr_threads);
     for name in names {
         let built = build(by_name(name).unwrap(), scale);
         let g = &built.graph;
@@ -1011,17 +1015,15 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
             let mut cfg = gpu_cfg(scale);
             cfg.pruning = pruning;
             // Best of three per backend, with the repetitions interleaved
-            // (I,F,P1,PN, I,F,P1,PN, ...) so slow ambient drift on the host
+            // (I,P1,PN, I,P1,PN, ...) so slow ambient drift on the host
             // lands on every backend equally instead of biasing whichever
             // ran last.
             let mut instr: Option<crate::runner::GpuRun> = None;
-            let mut fast: Option<crate::runner::GpuRun> = None;
             let mut par1: Option<crate::runner::GpuRun> = None;
             let mut parn: Option<crate::runner::GpuRun> = None;
             for _ in 0..3 {
                 for (run, best) in [
-                    (run_gpu_profiled(g, &cfg, Profile::Instrumented), &mut instr),
-                    (run_gpu_profiled(g, &cfg, Profile::Fast), &mut fast),
+                    (run_gpu_on(g, &cfg, instr_cfg.clone()), &mut instr),
                     (run_gpu_parallel(g, &cfg, 1), &mut par1),
                     (run_gpu_parallel(g, &cfg, par_n), &mut parn),
                 ] {
@@ -1030,25 +1032,21 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
                     }
                 }
             }
-            let (instr, fast) = (instr.unwrap(), fast.unwrap());
-            let (par1, parn) = (par1.unwrap(), parn.unwrap());
+            let (instr, par1, parn) = (instr.unwrap(), par1.unwrap(), parn.unwrap());
             let instr_s = instr.opt_wall().as_secs_f64();
-            let fast_s = fast.opt_wall().as_secs_f64();
             let par1_s = par1.opt_wall().as_secs_f64();
             let parn_s = parn.opt_wall().as_secs_f64();
-            let fast_speedup = instr_s / fast_s.max(1e-12);
-            let par1_vs_fast = fast_s / par1_s.max(1e-12);
-            let parn_vs_fast = fast_s / parn_s.max(1e-12);
-            fast_speedups.push(fast_speedup);
-            par1_speedups.push(par1_vs_fast);
-            parn_speedups.push(parn_vs_fast);
+            let par1_speedup = instr_s / par1_s.max(1e-12);
+            let parn_speedup = instr_s / parn_s.max(1e-12);
+            par1_speedups.push(par1_speedup);
+            parn_speedups.push(parn_speedup);
             let refq = instr.result.modularity;
-            let drift = [&fast, &par1, &parn]
+            let drift = [&par1, &parn]
                 .iter()
                 .map(|r| (refq - r.result.modularity).abs())
                 .fold(0.0f64, f64::max);
             max_drift = max_drift.max(drift);
-            let labels_identical = [&fast, &par1, &parn]
+            let labels_identical = [&par1, &parn]
                 .iter()
                 .all(|r| r.result.partition.as_slice() == instr.result.partition.as_slice());
             all_identical &= labels_identical && drift == 0.0;
@@ -1056,11 +1054,10 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
                 name.to_string(),
                 pruning.to_string(),
                 format!("{instr_s:.4}"),
-                format!("{fast_s:.4}"),
                 format!("{par1_s:.4}"),
                 format!("{parn_s:.4}"),
-                ratio(par1_vs_fast),
-                ratio(parn_vs_fast),
+                ratio(par1_speedup),
+                ratio(parn_speedup),
                 format!("{refq:.12}"),
                 if labels_identical { "identical".into() } else { "DIVERGED".into() },
             ]);
@@ -1071,12 +1068,10 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
                 "\n    {{\n      \"graph\": \"{name}\",\n      \"pruning\": {pruning},\n      \
                  \"vertices\": {nv},\n      \"arcs\": {na},\n      \
                  \"instrumented_opt_seconds\": {instr_s:.6},\n      \
-                 \"fast_opt_seconds\": {fast_s:.6},\n      \
                  \"parallel1_opt_seconds\": {par1_s:.6},\n      \
                  \"parallel{par_n}_opt_seconds\": {parn_s:.6},\n      \
-                 \"fast_opt_speedup\": {fast_speedup:.4},\n      \
-                 \"parallel1_vs_fast\": {par1_vs_fast:.4},\n      \
-                 \"parallel{par_n}_vs_fast\": {parn_vs_fast:.4},\n      \
+                 \"parallel1_speedup\": {par1_speedup:.4},\n      \
+                 \"parallel{par_n}_speedup\": {parn_speedup:.4},\n      \
                  \"modularity\": {refq:.15},\n      \"modularity_drift\": {drift:.3e},\n      \
                  \"labels_identical\": {labels_identical}\n    }}",
                 nv = g.num_vertices(),
@@ -1085,14 +1080,12 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
         }
     }
     t.print();
-    let gm_fast = geometric_mean(&fast_speedups);
     let gm_par1 = geometric_mean(&par1_speedups);
     let gm_parn = geometric_mean(&parn_speedups);
     println!(
-        "fast vs instrumented: geo-mean {}; parallel@1 vs fast: geo-mean {}; \
-         parallel@{par_n} vs fast: geo-mean {} ({cores}-core host); max |dQ| = {max_drift:.1e}; \
+        "parallel@1 vs instrumented@{instr_threads}: geo-mean {}; parallel@{par_n} vs \
+         instrumented@{instr_threads}: geo-mean {} ({cores}-core host); max |dQ| = {max_drift:.1e}; \
          labels {}",
-        ratio(gm_fast),
         ratio(gm_par1),
         ratio(gm_parn),
         if all_identical {
@@ -1104,16 +1097,15 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
     let json = format!(
         "{{\n  \"experiment\": \"backend_snapshot\",\n  \"scale\": \"{scale:?}\",\n  \
          \"device\": \"tesla_k40m\",\n  \"host_cores\": {cores},\n  \
+         \"instrumented_threads\": {instr_threads},\n  \
          \"parallel_threads\": {par_n},\n  \
-         \"profiles\": [\"{}\", \"{}\", \"{} x1\", \"{} x{par_n}\"],\n  \
+         \"profiles\": [\"{}\", \"{} x1\", \"{} x{par_n}\"],\n  \
          \"workloads\": [{entries}\n  ],\n  \"summary\": {{\n    \
-         \"geo_mean_fast_opt_speedup\": {gm_fast:.4},\n    \
-         \"geo_mean_parallel1_vs_fast\": {gm_par1:.4},\n    \
-         \"geo_mean_parallel{par_n}_vs_fast\": {gm_parn:.4},\n    \
+         \"geo_mean_parallel1_speedup\": {gm_par1:.4},\n    \
+         \"geo_mean_parallel{par_n}_speedup\": {gm_parn:.4},\n    \
          \"max_modularity_drift\": {max_drift:.3e},\n    \
          \"all_labels_identical\": {all_identical}\n  }}\n}}\n",
         Profile::Instrumented,
-        Profile::Fast,
         Profile::Parallel,
         Profile::Parallel,
     );
@@ -1272,7 +1264,7 @@ pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) {
     trace.oversized = Some(oversized.clone());
     let device_bytes =
         suggested_device_bytes(&trace).expect("suite names resolve").expect("oversized is set");
-    let mut device = cd_gpusim::DeviceConfig::tesla_k40m();
+    let mut device = DeviceConfig::tesla_k40m();
     device.global_mem_bytes = device_bytes;
 
     let snap_path = out.join("serve_cache.snap");

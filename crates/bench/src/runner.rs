@@ -17,7 +17,7 @@
 //! host time is printed alongside for transparency.
 //!
 //! **Execution profiles.** The cost model and kernel metrics only exist under
-//! the [`Profile::Instrumented`] execution profile; under [`Profile::Fast`]
+//! the [`Profile::Instrumented`] execution profile; under [`Profile::Parallel`]
 //! the simulator compiles accounting out and `model_seconds` is zero. The
 //! stock [`run_gpu`] honours the device default (the `CD_GPUSIM_PROFILE`
 //! environment variable / `repro --profile`); experiments whose measurement
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn gpu_run_collects_metrics_and_model_time() {
         // Metrics and the cost model are instrumented-profile products, so
-        // the profile is pinned (the env default may be `Fast`).
+        // the profile is pinned (the env default may be `Parallel`).
         let g = cliques(3, 6, true);
         let run = run_gpu_profiled(&g, &GpuLouvainConfig::paper_default(), Profile::Instrumented);
         assert_eq!(run.profile(), Profile::Instrumented);
@@ -156,20 +156,6 @@ mod tests {
         assert!(run.model_seconds > 0.0);
         assert!(!run.metrics.kernels().is_empty());
         assert!(run.model_teps() >= 0.0);
-    }
-
-    #[test]
-    fn fast_profile_run_skips_the_cost_model_but_not_the_answer() {
-        let g = cliques(3, 6, true);
-        let cfg = GpuLouvainConfig::paper_default();
-        let fast = run_gpu_profiled(&g, &cfg, Profile::Fast);
-        let slow = run_gpu_profiled(&g, &cfg, Profile::Instrumented);
-        assert_eq!(fast.profile(), Profile::Fast);
-        assert_eq!(fast.model_seconds, 0.0);
-        assert!(fast.metrics.kernels().is_empty());
-        assert_eq!(fast.metrics.profile(), Profile::Fast);
-        assert_eq!(fast.result.modularity.to_bits(), slow.result.modularity.to_bits());
-        assert_eq!(fast.result.partition.as_slice(), slow.result.partition.as_slice());
     }
 
     #[test]

@@ -19,8 +19,7 @@ use crate::louvain::GpuLouvainError;
 use crate::primes::{next_prime_at_least, table_size_for};
 use crate::schedule::WidthSchedule;
 use cd_gpusim::{
-    Device, ExecutionProfile, Fast, GlobalF64, GlobalU32, GlobalU64, GroupCtx, Instrumented,
-    Profile,
+    dispatch_profile, Device, ExecutionProfile, GlobalF64, GlobalU32, GlobalU64, GroupCtx,
 };
 
 /// Kernel names per community bucket, hoisted so no per-phase `format!`
@@ -55,12 +54,7 @@ pub fn aggregate(
 ) -> Result<AggregateOutcome, GpuLouvainError> {
     // One runtime dispatch per phase; the kernels below are monomorphized
     // for the selected profile.
-    match dev.profile() {
-        Profile::Instrumented => aggregate_typed::<Instrumented>(dev, g, comm, cfg),
-        Profile::Fast => aggregate_typed::<Fast>(dev, g, comm, cfg),
-        Profile::Racecheck => aggregate_typed::<cd_gpusim::Racecheck>(dev, g, comm, cfg),
-        Profile::Parallel => aggregate_typed::<cd_gpusim::Parallel>(dev, g, comm, cfg),
-    }
+    dispatch_profile!(dev.profile(), P => aggregate_typed::<P>(dev, g, comm, cfg))
 }
 
 /// [`aggregate`] monomorphized for one execution profile.

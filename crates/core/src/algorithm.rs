@@ -12,7 +12,7 @@
 //! | [`Algorithm::LpaSync`] | label agreement | double-buffered | no |
 //! | [`Algorithm::LpaAsync`] | label agreement | chunked in-place | no |
 //!
-//! Every member is bit-deterministic across all four execution profiles and
+//! Every member is bit-deterministic across all three execution profiles and
 //! any thread count — the property the serving layer's cross-profile cache
 //! sharing rests on. The algorithm itself, however, is result-affecting and
 //! therefore part of the result-cache key (`cd-serve` hashes the

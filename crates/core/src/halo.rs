@@ -32,7 +32,7 @@ use crate::hashtable::{HashTable, TableOverflow, TableSpace, TableStorage};
 use crate::louvain::GpuLouvainError;
 use crate::primes::{next_prime_at_least, table_size_for};
 use crate::schedule::WidthSchedule;
-use cd_gpusim::{Device, ExecutionProfile, Fast, GroupCtx, Instrumented, PooledU32, Profile};
+use cd_gpusim::{dispatch_profile, Device, ExecutionProfile, GroupCtx, PooledU32};
 
 /// Tie tolerance on gain comparisons — identical to the single-device
 /// kernel's.
@@ -116,12 +116,7 @@ pub fn halo_move_pass(
     if view.owned.is_empty() || view.two_m <= 0.0 {
         return Ok(view.owned.iter().map(|&l| view.labels[l as usize]).collect());
     }
-    match dev.profile() {
-        Profile::Instrumented => halo_typed::<Instrumented>(dev, view, cfg),
-        Profile::Fast => halo_typed::<Fast>(dev, view, cfg),
-        Profile::Racecheck => halo_typed::<cd_gpusim::Racecheck>(dev, view, cfg),
-        Profile::Parallel => halo_typed::<cd_gpusim::Parallel>(dev, view, cfg),
-    }
+    dispatch_profile!(dev.profile(), P => halo_typed::<P>(dev, view, cfg))
 }
 
 /// [`halo_move_pass`] monomorphized for one execution profile.

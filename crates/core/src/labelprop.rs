@@ -27,7 +27,7 @@
 //!   and thread counts. The in-sweep visibility also breaks bipartite
 //!   oscillation without extra machinery.
 //!
-//! Determinism across all four execution profiles follows the same argument
+//! Determinism across all three execution profiles follows the same argument
 //! as `computeMove`: hash-table running sums accumulate in lockstep lane
 //! order within one task, the lane performing a slot's final update observes
 //! the full vote weight (partial observations can never beat it), and
@@ -43,7 +43,7 @@ use crate::louvain::{
 };
 use crate::primes::{next_prime_at_least, table_size_for};
 use crate::schedule::WidthSchedule;
-use cd_gpusim::{Device, ExecutionProfile, Fast, GroupCtx, Instrumented, PooledU32, Profile};
+use cd_gpusim::{dispatch_profile, Device, ExecutionProfile, GroupCtx, PooledU32};
 use cd_graph::{modularity, Csr, Dendrogram, Partition};
 use std::time::{Duration, Instant};
 
@@ -468,12 +468,7 @@ pub fn label_propagation_gated(
     if required > available {
         return Err(GpuLouvainError::OutOfMemory { required, available });
     }
-    match dev.profile() {
-        Profile::Instrumented => lpa_typed::<Instrumented>(dev, graph, cfg, mode, gate),
-        Profile::Fast => lpa_typed::<Fast>(dev, graph, cfg, mode, gate),
-        Profile::Racecheck => lpa_typed::<cd_gpusim::Racecheck>(dev, graph, cfg, mode, gate),
-        Profile::Parallel => lpa_typed::<cd_gpusim::Parallel>(dev, graph, cfg, mode, gate),
-    }
+    dispatch_profile!(dev.profile(), P => lpa_typed::<P>(dev, graph, cfg, mode, gate))
 }
 
 /// [`label_propagation`] monomorphized for one execution profile.

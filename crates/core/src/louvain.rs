@@ -34,9 +34,9 @@ pub enum GpuLouvainError {
     /// The vertex count exceeds the 32-bit id space of the kernels.
     TooManyVertices(usize),
     /// A device configuration was rejected at construction — e.g. fault
-    /// injection requested under the [`cd_gpusim::Profile::Fast`] execution
-    /// profile, which strips the instrumentation the fault machinery reports
-    /// through. Permanent: an identical configuration fails identically.
+    /// injection requested under the [`cd_gpusim::Profile::Parallel`]
+    /// execution profile, which strips the instrumentation the fault
+    /// machinery reports through. Permanent: an identical configuration fails identically.
     Config(cd_gpusim::ConfigError),
     /// A kernel launch failed (injected fault or launch misconfiguration).
     Launch(LaunchError),

@@ -27,8 +27,7 @@ use crate::louvain::GpuLouvainError;
 use crate::primes::{next_prime_at_least, table_size_for};
 use crate::schedule::WidthSchedule;
 use cd_gpusim::{
-    Device, ExecutionProfile, Fast, GlobalU32, GroupCtx, Instrumented, PooledF64, PooledU32,
-    Profile,
+    dispatch_profile, Device, ExecutionProfile, GlobalU32, GroupCtx, PooledF64, PooledU32,
 };
 use std::time::{Duration, Instant};
 
@@ -453,20 +452,11 @@ pub fn modularity_optimization(
     threshold: f64,
 ) -> Result<OptOutcome, GpuLouvainError> {
     // One runtime dispatch per phase; every kernel below is monomorphized
-    // for the selected profile, so the Fast path carries no per-access
+    // for the selected profile, so the Parallel path carries no per-access
     // accounting branches.
-    match dev.profile() {
-        Profile::Instrumented => {
-            modularity_optimization_typed::<Instrumented>(dev, g, cfg, threshold, None)
-        }
-        Profile::Fast => modularity_optimization_typed::<Fast>(dev, g, cfg, threshold, None),
-        Profile::Racecheck => {
-            modularity_optimization_typed::<cd_gpusim::Racecheck>(dev, g, cfg, threshold, None)
-        }
-        Profile::Parallel => {
-            modularity_optimization_typed::<cd_gpusim::Parallel>(dev, g, cfg, threshold, None)
-        }
-    }
+    dispatch_profile!(dev.profile(), P => {
+        modularity_optimization_typed::<P>(dev, g, cfg, threshold, None)
+    })
 }
 
 /// [`modularity_optimization`] resumed from a [`WarmSeed`] instead of the
@@ -481,22 +471,9 @@ pub fn modularity_optimization_seeded(
     threshold: f64,
     seed: &WarmSeed<'_>,
 ) -> Result<OptOutcome, GpuLouvainError> {
-    match dev.profile() {
-        Profile::Instrumented => {
-            modularity_optimization_typed::<Instrumented>(dev, g, cfg, threshold, Some(seed))
-        }
-        Profile::Fast => modularity_optimization_typed::<Fast>(dev, g, cfg, threshold, Some(seed)),
-        Profile::Racecheck => modularity_optimization_typed::<cd_gpusim::Racecheck>(
-            dev,
-            g,
-            cfg,
-            threshold,
-            Some(seed),
-        ),
-        Profile::Parallel => {
-            modularity_optimization_typed::<cd_gpusim::Parallel>(dev, g, cfg, threshold, Some(seed))
-        }
-    }
+    dispatch_profile!(dev.profile(), P => {
+        modularity_optimization_typed::<P>(dev, g, cfg, threshold, Some(seed))
+    })
 }
 
 /// [`modularity_optimization`] monomorphized for one execution profile.
@@ -1271,7 +1248,7 @@ fn mark_frontier<P: ExecutionProfile>(ctx: &mut GroupCtx<P>, state: &OptState<'_
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cd_gpusim::DeviceConfig;
+    use cd_gpusim::{DeviceConfig, Instrumented, Profile};
     use cd_graph::gen::{cliques, star};
     use cd_graph::{modularity as host_modularity, Partition};
 

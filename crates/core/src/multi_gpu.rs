@@ -158,8 +158,8 @@ pub fn louvain_multi_gpu(
             let mut dc = cfg.device.clone();
             dc.fault_plan.seed =
                 dc.fault_plan.seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            // A rejected configuration (e.g. fault injection on the Fast
-            // profile) is a typed, permanent error — not a panic.
+            // A rejected configuration (e.g. fault injection on the
+            // Parallel profile) is a typed, permanent error — not a panic.
             Device::try_new(dc).map_err(GpuLouvainError::Config)
         })
         .collect::<Result<_, _>>()?;

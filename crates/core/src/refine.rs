@@ -35,7 +35,7 @@ use crate::config::GpuLouvainConfig;
 use crate::dev_graph::DeviceGraph;
 use crate::louvain::GpuLouvainError;
 use crate::modopt::{modularity_optimization_seeded, OptOutcome, WarmSeed};
-use cd_gpusim::{Device, ExecutionProfile, Fast, Instrumented, Profile};
+use cd_gpusim::{dispatch_profile, Device, ExecutionProfile};
 
 /// Shard count for the iteration-change counter (same contention argument
 /// as the modularity phase's accumulators).
@@ -130,12 +130,8 @@ pub fn refine_communities(
     if n == 0 || g.two_m == 0.0 {
         return Ok(outcome.clone());
     }
-    let comp = match dev.profile() {
-        Profile::Instrumented => community_components::<Instrumented>(dev, g, &outcome.comm)?,
-        Profile::Fast => community_components::<Fast>(dev, g, &outcome.comm)?,
-        Profile::Racecheck => community_components::<cd_gpusim::Racecheck>(dev, g, &outcome.comm)?,
-        Profile::Parallel => community_components::<cd_gpusim::Parallel>(dev, g, &outcome.comm)?,
-    };
+    let comp =
+        dispatch_profile!(dev.profile(), P => community_components::<P>(dev, g, &outcome.comm))?;
 
     // A community is badly connected iff its members span two component ids.
     let mut first_comp = vec![u32::MAX; n];
@@ -210,7 +206,7 @@ pub fn refine_communities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cd_gpusim::DeviceConfig;
+    use cd_gpusim::{DeviceConfig, Instrumented};
     use cd_graph::csr_from_edges;
     use cd_graph::gen::{cliques, planted_partition};
     use cd_graph::{modularity, Partition};

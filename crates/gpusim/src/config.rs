@@ -49,23 +49,36 @@ pub struct DeviceConfig {
     /// Deterministic fault-injection plan (disabled by default).
     pub fault_plan: crate::fault::FaultPlan,
     /// Execution profile: [`crate::Profile::Instrumented`] keeps counters,
-    /// cycle model, and fault injection; [`crate::Profile::Fast`] compiles
-    /// accounting out; [`crate::Profile::Parallel`] additionally runs blocks
-    /// as real host threads. The stock constructors honour the
-    /// `CD_GPUSIM_PROFILE` environment variable (see
+    /// cycle model, and fault injection; [`crate::Profile::Racecheck`] adds
+    /// the race detector; [`crate::Profile::Parallel`] compiles accounting
+    /// out and runs blocks as direct scalar loops. The stock constructors
+    /// honour the `CD_GPUSIM_PROFILE` environment variable (see
     /// [`crate::Profile::from_env`]).
     pub profile: crate::profile::Profile,
-    /// Host worker threads for the [`crate::Profile::Parallel`] backend.
-    /// `0` (the default) means "auto": use `std::thread::available_parallelism`.
-    /// The stock constructors honour the `CD_GPUSIM_THREADS` environment
-    /// variable. Ignored by the lockstep profiles.
+    /// Host worker threads that run a launch's blocks (see
+    /// [`crate::schedule`]), under every profile. `0` (the default) means
+    /// "auto": use `std::thread::available_parallelism`. The stock
+    /// constructors honour the `CD_GPUSIM_THREADS` environment variable.
     pub threads: usize,
 }
 
-/// Reads `CD_GPUSIM_THREADS`, returning `0` ("auto") when unset or
-/// unparseable.
+/// Reads `CD_GPUSIM_THREADS` (see [`threads_from_env_value`]).
 fn threads_from_env() -> usize {
-    std::env::var("CD_GPUSIM_THREADS").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(0)
+    threads_from_env_value(std::env::var("CD_GPUSIM_THREADS").ok().as_deref())
+}
+
+/// A `CD_GPUSIM_THREADS` value as a thread count: unset or empty is `0`
+/// ("auto"), a non-negative integer is taken as is, and anything else panics
+/// rather than quietly running at a different width than the one asked for.
+fn threads_from_env_value(value: Option<&str>) -> usize {
+    value.map(str::trim).filter(|v| !v.is_empty()).map_or(0, |v| {
+        v.parse().unwrap_or_else(|_| {
+            panic!(
+                "CD_GPUSIM_THREADS={v:?} is not a thread count; \
+                 expected a non-negative integer (0 = one per core)"
+            )
+        })
+    })
 }
 
 impl DeviceConfig {
@@ -132,21 +145,16 @@ impl DeviceConfig {
         self
     }
 
-    /// Returns the configuration with the given native-backend thread count
-    /// (`0` = auto). Only meaningful with [`crate::Profile::Parallel`].
+    /// Returns the configuration with the given block-scheduler thread count
+    /// (`0` = auto).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// The thread count the native backend will actually use: `threads` if
-    /// explicitly set, otherwise the host's available parallelism. Always at
-    /// least 1. Lockstep profiles report 1 (they execute launches on the
-    /// calling thread unless the legacy chunked fan-out kicks in).
+    /// The thread count launches actually use: `threads` if explicitly set,
+    /// otherwise the host's available parallelism. Always at least 1.
     pub fn effective_threads(&self) -> usize {
-        if !self.profile.is_native() {
-            return 1;
-        }
         if self.threads > 0 {
             self.threads
         } else {
@@ -258,33 +266,33 @@ mod tests {
     }
 
     #[test]
-    fn faults_are_rejected_on_the_fast_profile() {
-        use crate::profile::{ConfigError, Profile};
-        let plan = crate::fault::FaultPlan::seeded(7).with_abort_rate(0.1);
-        let c = DeviceConfig::test_tiny().with_fault_plan(plan).with_profile(Profile::Fast);
-        assert_eq!(c.validate(), Err(ConfigError::FaultsRequireInstrumented));
-        // Same plan is fine when instrumented, and an inactive plan is fine
-        // on Fast.
-        assert!(DeviceConfig::test_tiny()
-            .with_fault_plan(plan)
-            .with_profile(Profile::Instrumented)
-            .validate()
-            .is_ok());
-        assert!(DeviceConfig::test_tiny().with_profile(Profile::Fast).validate().is_ok());
+    fn effective_threads_resolution() {
+        use crate::profile::Profile;
+        // Every profile honours an explicit count.
+        for p in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
+            let c = DeviceConfig::test_tiny().with_profile(p).with_threads(8);
+            assert_eq!(c.effective_threads(), 8);
+        }
+        // Auto (0) resolves to the core count.
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let c = DeviceConfig::test_tiny().with_profile(Profile::Instrumented).with_threads(0);
+        assert_eq!(c.effective_threads(), cores);
     }
 
     #[test]
-    fn effective_threads_resolution() {
-        use crate::profile::Profile;
-        // Lockstep profiles always report 1 regardless of the knob.
-        let c = DeviceConfig::test_tiny().with_profile(Profile::Fast).with_threads(8);
-        assert_eq!(c.effective_threads(), 1);
-        // Parallel honours an explicit count.
-        let c = DeviceConfig::test_tiny().with_profile(Profile::Parallel).with_threads(8);
-        assert_eq!(c.effective_threads(), 8);
-        // Auto (0) resolves to at least one thread.
-        let c = DeviceConfig::test_tiny().with_profile(Profile::Parallel).with_threads(0);
-        assert!(c.effective_threads() >= 1);
+    fn threads_env_value_parses_counts_or_defaults_to_auto() {
+        assert_eq!(threads_from_env_value(None), 0);
+        assert_eq!(threads_from_env_value(Some("")), 0);
+        assert_eq!(threads_from_env_value(Some("0")), 0);
+        assert_eq!(threads_from_env_value(Some(" 8\n")), 8);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "CD_GPUSIM_THREADS=\"eight\" is not a thread count; expected a non-negative integer"
+    )]
+    fn threads_env_value_garbage_fails_loudly() {
+        threads_from_env_value(Some("eight"));
     }
 
     #[test]

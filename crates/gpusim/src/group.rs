@@ -13,11 +13,11 @@
 //!
 //! The context is generic over an [`ExecutionProfile`]: under
 //! [`crate::Instrumented`] (the default) every wrapper updates the block's
-//! [`BlockCounters`]; under [`crate::Fast`] the accounting bodies are gated on
-//! the `const` [`ExecutionProfile::INSTRUMENTED`] flag and compile to no-ops,
-//! leaving only the memory semantics. Kernels written against `GroupCtx<P>`
-//! therefore monomorphize into an instrumented and a raced variant from one
-//! source.
+//! [`BlockCounters`]; under [`crate::Parallel`] the accounting bodies are
+//! gated on the `const` [`ExecutionProfile::INSTRUMENTED`] flag and compile to
+//! no-ops, leaving only the memory semantics. Kernels written against
+//! `GroupCtx<P>` therefore monomorphize into an instrumented and an
+//! uninstrumented variant from one source.
 
 use std::marker::PhantomData;
 
@@ -32,8 +32,8 @@ pub const VALID_GROUP_LANES: [usize; 5] = [4, 8, 16, 32, 128];
 ///
 /// The profile parameter `P` selects at compile time whether the accounting
 /// wrappers record into [`BlockCounters`] ([`crate::Instrumented`], the
-/// default) or compile to no-ops ([`crate::Fast`]). Memory and collective
-/// *semantics* are identical under both.
+/// default) or compile to no-ops ([`crate::Parallel`]). Memory and collective
+/// *semantics* are identical under every profile.
 pub struct GroupCtx<'a, P: ExecutionProfile = Instrumented> {
     /// Index of the block this group belongs to.
     pub block_id: usize,
@@ -55,7 +55,7 @@ impl<'a> GroupCtx<'a, Instrumented> {
 
 impl<'a, P: ExecutionProfile> GroupCtx<'a, P> {
     /// Creates a standalone context under profile `P` (the generic form of
-    /// [`GroupCtx::new`]). Under [`crate::Fast`] the counters reference is
+    /// [`GroupCtx::new`]). Under [`crate::Parallel`] the counters reference is
     /// still held — launches reuse one scratch `BlockCounters` per block —
     /// but never written.
     pub fn typed(block_id: usize, lanes: usize, counters: &'a mut BlockCounters) -> Self {
@@ -350,7 +350,7 @@ impl<'a, P: ExecutionProfile> GroupCtx<'a, P> {
     }
 
     /// Read-only view of the counters accumulated so far by this group's
-    /// block (tests and instrumentation). All-zero under [`crate::Fast`].
+    /// block (tests and instrumentation). All-zero under [`crate::Parallel`].
     pub fn counters(&self) -> &BlockCounters {
         self.counters
     }
@@ -359,7 +359,7 @@ impl<'a, P: ExecutionProfile> GroupCtx<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::Fast;
+    use crate::profile::Parallel;
 
     fn ctx(counters: &mut BlockCounters) -> GroupCtx<'_> {
         GroupCtx::new(0, 32, counters)
@@ -431,12 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn fast_profile_same_semantics_zero_counters() {
+    fn parallel_profile_same_semantics_zero_counters() {
         let mut c = BlockCounters::default();
         let f = GlobalF64::zeroed(1);
         let u = GlobalU32::zeroed(1);
         {
-            let mut g: GroupCtx<'_, Fast> = GroupCtx::typed(0, 32, &mut c);
+            let mut g: GroupCtx<'_, Parallel> = GroupCtx::typed(0, 32, &mut c);
             g.step(20);
             g.strided_steps(70);
             g.barrier();

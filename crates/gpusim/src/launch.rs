@@ -11,13 +11,13 @@
 //! * [`Device::launch_threads`] — plain elementwise kernels (initialization,
 //!   community-label updates), executed as warps with full occupancy.
 //!
-//! Blocks execute concurrently on the rayon pool; each block owns private
-//! [`BlockCounters`] merged into the device metrics when the launch
-//! completes, so the hot path takes no locks. Under the native
-//! [`crate::Parallel`] profile the lockstep emulation is bypassed entirely:
-//! blocks run as direct scalar loops on the persistent work-claiming pool
-//! in [`crate::schedule`], with per-participant scratch reuse and no
-//! per-warp interleaving.
+//! Every profile runs a launch's blocks on the persistent work-claiming pool
+//! in [`crate::schedule`], [`DeviceConfig::effective_threads`] wide. Under
+//! the lockstep profiles each block owns private [`BlockCounters`], summed
+//! into the device metrics once per block, so the kernel body takes no
+//! locks. Under [`crate::Parallel`] the lockstep emulation is bypassed:
+//! blocks run as direct scalar loops, with per-participant scratch reuse and
+//! no per-warp accounting.
 //!
 //! Every launcher has a fallible `try_*` form returning
 //! [`Result`]`<(), `[`LaunchError`]`>`. Configuration errors (bad group
@@ -29,8 +29,8 @@
 //! The methods on [`Device`] are the *instrumented* entry points (counters
 //! merged, launch recorded, faults drawn). Profile-generic drivers instead
 //! obtain a typed launcher with [`Device::exec`] and write their kernels
-//! against `GroupCtx<P>`; under [`crate::Fast`] the same launch shapes skip
-//! the counter merge, the metric record, and the fault draw entirely.
+//! against `GroupCtx<P>`; under [`crate::Parallel`] the same launch shapes
+//! skip the counter merge, the metric record, and the fault draw entirely.
 
 use crate::config::DeviceConfig;
 use crate::fault::{mix64, unit_f64, FaultStats, LaunchError, LaunchFault};
@@ -40,31 +40,12 @@ use crate::metrics::{BlockCounters, MetricsReport, MetricsStore};
 use crate::pool::PoolStore;
 use crate::profile::{ConfigError, ExecutionProfile, Instrumented};
 use crate::racecheck::{BlockGuard, LaunchShadow};
+use crate::schedule::run_blocks;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Whether the lockstep profiles run their block fan-out inline on the
-/// calling thread instead of the rayon pool. The explicit escape hatch is
-/// the `CD_GPUSIM_SERIAL` environment variable: `1` forces inline, `0`
-/// forces the pool fan-out, and unset keeps the automatic probe — inline
-/// iff the host has a single execution unit, where the fan-out's per-launch
-/// setup is pure overhead. One block is always inline for the same reason.
-/// Results are identical either way — block execution is order-independent.
-/// The native [`crate::Parallel`] profile does not consult this; its thread
-/// count comes from `CD_GPUSIM_THREADS` /
-/// [`DeviceConfig::effective_threads`].
-fn serial_host() -> bool {
-    static SERIAL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SERIAL.get_or_init(|| match std::env::var("CD_GPUSIM_SERIAL").ok().as_deref().map(str::trim) {
-        Some("1") => true,
-        Some("0") => false,
-        _ => std::thread::available_parallelism().map(|n| n.get() == 1).unwrap_or(true),
-    })
-}
+use std::time::{Duration, Instant};
 
 /// A simulated GPU.
 #[derive(Debug)]
@@ -87,7 +68,7 @@ impl Device {
     }
 
     /// Fallible form of [`Device::new`]: rejects inconsistent configurations,
-    /// e.g. an active fault plan combined with [`crate::Profile::Fast`]
+    /// e.g. an active fault plan combined with [`crate::Profile::Parallel`]
     /// ([`ConfigError::FaultsRequireInstrumented`]).
     pub fn try_new(cfg: DeviceConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
@@ -120,7 +101,7 @@ impl Device {
     /// monomorphize against `GroupCtx<P>`:
     ///
     /// ```
-    /// use cd_gpusim::{Device, DeviceConfig, ExecutionProfile, GlobalU32, Profile};
+    /// use cd_gpusim::{dispatch_profile, Device, DeviceConfig, ExecutionProfile, GlobalU32, Profile};
     ///
     /// fn histogram<P: ExecutionProfile>(dev: &Device, counts: &GlobalU32) {
     ///     dev.exec::<P>().launch_threads("histogram", 1000, |ctx, t| {
@@ -128,23 +109,18 @@ impl Device {
     ///     });
     /// }
     ///
-    /// let dev = Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Fast));
+    /// let dev = Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Parallel));
     /// let counts = GlobalU32::zeroed(4);
-    /// match dev.profile() {
-    ///     Profile::Instrumented => histogram::<cd_gpusim::Instrumented>(&dev, &counts),
-    ///     Profile::Fast => histogram::<cd_gpusim::Fast>(&dev, &counts),
-    ///     Profile::Racecheck => histogram::<cd_gpusim::Racecheck>(&dev, &counts),
-    ///     Profile::Parallel => histogram::<cd_gpusim::Parallel>(&dev, &counts),
-    /// }
+    /// dispatch_profile!(dev.profile(), P => histogram::<P>(&dev, &counts));
     /// assert_eq!(counts.to_vec(), vec![250, 250, 250, 250]);
-    /// assert!(dev.metrics().kernels().is_empty()); // Fast records nothing
+    /// assert!(dev.metrics().kernels().is_empty()); // Parallel records nothing
     /// ```
     pub fn exec<P: ExecutionProfile>(&self) -> Exec<'_, P> {
         Exec { dev: self, _profile: PhantomData }
     }
 
     /// Snapshot of all kernel metrics recorded so far. The report states the
-    /// profile that produced it; under [`crate::Profile::Fast`] no kernel
+    /// profile that produced it; under [`crate::Profile::Parallel`] no kernel
     /// entries exist (launches are not recorded) rather than entries full of
     /// zeroed counters.
     pub fn metrics(&self) -> MetricsReport {
@@ -189,17 +165,7 @@ impl Device {
         name: &str,
         blocks: u64,
         counters: BlockCounters,
-        wall: std::time::Duration,
-    ) {
-        self.metrics.lock().record_launch(name, blocks, counters, wall, 0);
-    }
-
-    pub(crate) fn record_with_shared(
-        &self,
-        name: &str,
-        blocks: u64,
-        counters: BlockCounters,
-        wall: std::time::Duration,
+        wall: Duration,
         shared_bytes_per_block: usize,
     ) {
         self.metrics.lock().record_launch(name, blocks, counters, wall, shared_bytes_per_block);
@@ -455,11 +421,11 @@ impl Device {
 /// [`ExecutionProfile`] `P`: kernels receive `GroupCtx<P>`, so one kernel
 /// source monomorphizes into an instrumented variant (counters, cycle model,
 /// fault draws, metric records — exactly [`Device`]'s own launch methods) and
-/// a [`crate::Fast`] variant whose accounting compiles to no-ops and whose
+/// a [`crate::Parallel`] variant whose accounting compiles to no-ops and whose
 /// launches skip the per-block counter merge, the metric record, and the
 /// fault draw. Execution *semantics* — task→group assignment, block
 /// concurrency, shared-memory budgets, group-width validation — are identical
-/// under both profiles.
+/// under every profile.
 pub struct Exec<'d, P: ExecutionProfile = Instrumented> {
     dev: &'d Device,
     _profile: PhantomData<P>,
@@ -526,34 +492,10 @@ impl<'d, P: ExecutionProfile> Exec<'d, P> {
                 available: dev.cfg.shared_mem_per_block,
             });
         }
-        if n_tasks == 0 {
-            if P::INSTRUMENTED {
-                dev.record_with_shared(
-                    name,
-                    0,
-                    BlockCounters::default(),
-                    std::time::Duration::ZERO,
-                    shared_per_block,
-                );
-            }
-            return Ok(());
-        }
-
-        let start = P::INSTRUMENTED.then(Instant::now);
         let n_blocks = n_tasks.div_ceil(tasks_per_block);
-        let fault = dev.next_launch_fault();
-        let (run_limit, stuck) = dev.apply_fault(fault, n_blocks);
-        let shadow = P::RACECHECK.then(|| Arc::new(LaunchShadow::new(name)));
-        let run_block = |block: usize| {
-            let mut counters = BlockCounters::default();
-            if block >= run_limit || Some(block) == stuck {
-                return counters;
-            }
-            let _rc = shadow.as_ref().map(|s| BlockGuard::install(s.clone(), block));
-            let mut state = block_state();
+        let run_tasks = |state: &mut S, block: usize, counters: &mut BlockCounters| {
             let lo = block * tasks_per_block;
-            let hi = (lo + tasks_per_block).min(n_tasks);
-            for task in lo..hi {
+            for task in lo..(lo + tasks_per_block).min(n_tasks) {
                 if P::RACECHECK {
                     // Distinct groups within a block are concurrent hardware
                     // warps — except when one task spans the whole block
@@ -562,82 +504,36 @@ impl<'d, P: ExecutionProfile> Exec<'d, P> {
                     // share one logical actor.
                     crate::racecheck::set_group(if lanes == block_threads { 0 } else { task });
                 }
-                let mut ctx = GroupCtx::<P>::typed(block, lanes, &mut counters);
-                kernel(&mut ctx, &mut state, task);
+                let mut ctx = GroupCtx::<P>::typed(block, lanes, counters);
+                kernel(&mut ctx, state, task);
                 ctx.finish_task();
             }
-            counters
         };
-        if P::NATIVE {
-            // Faults require the instrumented profile, so a Parallel launch
-            // never has an abort/stuck decision to honour. Blocks run as
-            // direct scalar loops: no per-lane bookkeeping, no racecheck
-            // guard, and the per-block scratch is built once per
-            // *participant* and reused across every block it claims —
-            // kernels reset their scratch per task, so a launch allocates
-            // at most `threads` states instead of `n_blocks`.
+        if !P::INSTRUMENTED && n_blocks > 0 {
+            // Parallel builds the per-block scratch once per *participant*
+            // and reuses it across every block it claims — kernels reset
+            // their scratch per task, so a launch allocates at most
+            // `threads` states instead of `n_blocks`.
             let threads = dev.cfg.effective_threads();
-            let run_native = |state: &mut S, block: usize| {
-                let mut counters = BlockCounters::default();
-                let lo = block * tasks_per_block;
-                let hi = (lo + tasks_per_block).min(n_tasks);
-                for task in lo..hi {
-                    let mut ctx = GroupCtx::<P>::typed(block, lanes, &mut counters);
-                    kernel(&mut ctx, state, task);
-                }
-            };
+            let mut counters = BlockCounters::default();
             if threads <= 1 || n_blocks == 1 {
                 let mut state = block_state();
                 for block in 0..n_blocks {
-                    run_native(&mut state, block);
+                    run_tasks(&mut state, block, &mut counters);
                 }
             } else {
                 let states: Mutex<Vec<S>> = Mutex::new(Vec::new());
-                crate::schedule::run_blocks(threads, n_blocks, |block| {
+                run_blocks(threads, n_blocks, |block| {
                     let mut state = states.lock().pop().unwrap_or_else(&block_state);
-                    run_native(&mut state, block);
+                    run_tasks(&mut state, block, &mut BlockCounters::default());
                     states.lock().push(state);
                 });
             }
             return Ok(());
         }
-        let inline = n_blocks == 1 || serial_host();
-        if P::INSTRUMENTED {
-            // One block (or a single-core host) has no parallelism to
-            // exploit; run inline, skipping the parallel-iterator setup.
-            let totals = if inline {
-                (0..n_blocks).map(run_block).fold(BlockCounters::default(), |mut a, b| {
-                    a.merge(&b);
-                    a
-                })
-            } else {
-                (0..n_blocks).into_par_iter().map(run_block).reduce(
-                    BlockCounters::default,
-                    |mut a, b| {
-                        a.merge(&b);
-                        a
-                    },
-                )
-            };
-            let executed = run_limit.min(n_blocks) - usize::from(stuck.is_some());
-            dev.record_with_shared(
-                name,
-                executed as u64,
-                totals,
-                start.map_or(std::time::Duration::ZERO, |s| s.elapsed()),
-                shared_per_block,
-            );
-        } else if inline {
-            for block in 0..n_blocks {
-                run_block(block);
-            }
-        } else {
-            (0..n_blocks).into_par_iter().for_each(|block| {
-                run_block(block);
-            });
-        }
-        dev.absorb_shadow(shadow);
-        dev.fault_outcome(fault, name, run_limit, stuck, n_blocks)
+        self.run(name, n_blocks, shared_per_block, |block, counters| {
+            run_tasks(&mut block_state(), block, counters)
+        })
     }
 
     /// Profile-generic [`Device::launch_blocks`]; panics on any error.
@@ -664,78 +560,15 @@ impl<'d, P: ExecutionProfile> Exec<'d, P> {
         I: Fn(usize) -> S + Sync,
         F: Fn(&mut GroupCtx<P>, &mut S) + Sync,
     {
-        let dev = self.dev;
-        if n_blocks == 0 {
-            if P::INSTRUMENTED {
-                dev.record(name, 0, BlockCounters::default(), std::time::Duration::ZERO);
-            }
-            return Ok(());
-        }
-        let start = P::INSTRUMENTED.then(Instant::now);
-        let block_threads = dev.cfg.block_threads();
-        let fault = dev.next_launch_fault();
-        let (run_limit, stuck) = dev.apply_fault(fault, n_blocks);
-        let shadow = P::RACECHECK.then(|| Arc::new(LaunchShadow::new(name)));
-        let run_block = |block: usize| {
-            let mut counters = BlockCounters::default();
-            if block >= run_limit || Some(block) == stuck {
-                return counters;
-            }
-            // Block-wide kernels have one group per block; the logical actor
-            // stays 0 for the block's whole lifetime.
-            let _rc = shadow.as_ref().map(|s| BlockGuard::install(s.clone(), block));
+        // Block-wide kernels keep per-block state under every profile (its
+        // shape can depend on the block id — e.g. per-block table
+        // capacities), and have one group per block, so the race detector's
+        // logical actor stays 0 for the block's whole lifetime.
+        let block_threads = self.dev.cfg.block_threads();
+        self.run(name, n_blocks, 0, |block, counters| {
             let mut state = block_state(block);
-            let mut ctx = GroupCtx::<P>::typed(block, block_threads, &mut counters);
-            kernel(&mut ctx, &mut state);
-            counters
-        };
-        if P::NATIVE {
-            // Block-wide kernels keep per-block state (its shape can depend
-            // on the block id — e.g. per-block table capacities); the native
-            // win here is real threads plus skipped fault/shadow plumbing.
-            let threads = dev.cfg.effective_threads();
-            crate::schedule::run_blocks(threads, n_blocks, |block| {
-                let mut counters = BlockCounters::default();
-                let mut state = block_state(block);
-                let mut ctx = GroupCtx::<P>::typed(block, block_threads, &mut counters);
-                kernel(&mut ctx, &mut state);
-            });
-            return Ok(());
-        }
-        let inline = n_blocks == 1 || serial_host();
-        if P::INSTRUMENTED {
-            let totals = if inline {
-                (0..n_blocks).map(run_block).fold(BlockCounters::default(), |mut a, b| {
-                    a.merge(&b);
-                    a
-                })
-            } else {
-                (0..n_blocks).into_par_iter().map(run_block).reduce(
-                    BlockCounters::default,
-                    |mut a, b| {
-                        a.merge(&b);
-                        a
-                    },
-                )
-            };
-            let executed = run_limit.min(n_blocks) - usize::from(stuck.is_some());
-            dev.record(
-                name,
-                executed as u64,
-                totals,
-                start.map_or(std::time::Duration::ZERO, |s| s.elapsed()),
-            );
-        } else if inline {
-            for block in 0..n_blocks {
-                run_block(block);
-            }
-        } else {
-            (0..n_blocks).into_par_iter().for_each(|block| {
-                run_block(block);
-            });
-        }
-        dev.absorb_shadow(shadow);
-        dev.fault_outcome(fault, name, run_limit, stuck, n_blocks)
+            kernel(&mut GroupCtx::<P>::typed(block, block_threads, counters), &mut state);
+        })
     }
 
     /// Profile-generic [`Device::launch_threads`]; panics on any error.
@@ -756,32 +589,16 @@ impl<'d, P: ExecutionProfile> Exec<'d, P> {
     where
         F: Fn(&mut GroupCtx<P>, usize) + Sync,
     {
-        let dev = self.dev;
-        if n_threads == 0 {
-            if P::INSTRUMENTED {
-                dev.record(name, 0, BlockCounters::default(), std::time::Duration::ZERO);
-            }
-            return Ok(());
-        }
-        let start = P::INSTRUMENTED.then(Instant::now);
-        let block_threads = dev.cfg.block_threads();
-        let warp = dev.cfg.warp_size;
-        let n_blocks = n_threads.div_ceil(block_threads);
-        let fault = dev.next_launch_fault();
-        let (run_limit, stuck) = dev.apply_fault(fault, n_blocks);
-        let shadow = P::RACECHECK.then(|| Arc::new(LaunchShadow::new(name)));
-        let run_block = |block: usize| {
-            let mut counters = BlockCounters::default();
-            if block >= run_limit || Some(block) == stuck {
-                return counters;
-            }
-            let _rc = shadow.as_ref().map(|s| BlockGuard::install(s.clone(), block));
-            let lo = block * block_threads;
-            let hi = (lo + block_threads).min(n_threads);
-            let mut t = lo;
+        let block_threads = self.dev.cfg.block_threads();
+        let warp = self.dev.cfg.warp_size;
+        self.run(name, n_threads.div_ceil(block_threads), 0, |block, counters| {
+            let hi = ((block + 1) * block_threads).min(n_threads);
+            let mut t = block * block_threads;
             while t < hi {
-                let warp_hi = (t + warp).min(hi);
-                let mut ctx = GroupCtx::<P>::typed(block, warp, &mut counters);
+                // Parallel keeps no per-warp accounting: one flat loop per
+                // block.
+                let warp_hi = if P::INSTRUMENTED { (t + warp).min(hi) } else { hi };
+                let mut ctx = GroupCtx::<P>::typed(block, warp, counters);
                 ctx.step(warp_hi - t);
                 for thread in t..warp_hi {
                     if P::RACECHECK {
@@ -794,57 +611,51 @@ impl<'d, P: ExecutionProfile> Exec<'d, P> {
                 }
                 t = warp_hi;
             }
-            counters
-        };
-        if P::NATIVE {
-            // Elementwise kernels carry no per-warp state (`step()` and the
-            // collectives' accounting are compiled out), so the native path
-            // drops the warp-stepped loop entirely: one context per block,
-            // one flat scalar loop over its threads.
-            let threads = dev.cfg.effective_threads();
-            crate::schedule::run_blocks(threads, n_blocks, |block| {
-                let mut counters = BlockCounters::default();
-                let lo = block * block_threads;
-                let hi = (lo + block_threads).min(n_threads);
-                let mut ctx = GroupCtx::<P>::typed(block, warp, &mut counters);
-                for thread in lo..hi {
-                    kernel(&mut ctx, thread);
-                }
-            });
+        })
+    }
+
+    /// Runs blocks `0..n_blocks` of one launch on the block scheduler, each
+    /// as `body(block, counters)`. That is all under [`crate::Parallel`].
+    /// Under the lockstep profiles it also draws the launch's fault decision,
+    /// skips the blocks an abort or a stuck block takes out, installs each
+    /// block's race guard, records the launch with the sum of its blocks'
+    /// counters (exact in any completion order: the counters are `u64`
+    /// sums), and returns the fault's outcome.
+    fn run(
+        &self,
+        name: &str,
+        n_blocks: usize,
+        shared_per_block: usize,
+        body: impl Fn(usize, &mut BlockCounters) + Sync,
+    ) -> Result<(), LaunchError> {
+        let dev = self.dev;
+        let threads = dev.cfg.effective_threads();
+        if !P::INSTRUMENTED {
+            run_blocks(threads, n_blocks, |block| body(block, &mut BlockCounters::default()));
             return Ok(());
         }
-        let inline = n_blocks == 1 || serial_host();
-        if P::INSTRUMENTED {
-            let totals = if inline {
-                (0..n_blocks).map(run_block).fold(BlockCounters::default(), |mut a, b| {
-                    a.merge(&b);
-                    a
-                })
-            } else {
-                (0..n_blocks).into_par_iter().map(run_block).reduce(
-                    BlockCounters::default,
-                    |mut a, b| {
-                        a.merge(&b);
-                        a
-                    },
-                )
-            };
-            let executed = run_limit.min(n_blocks) - usize::from(stuck.is_some());
-            dev.record(
-                name,
-                executed as u64,
-                totals,
-                start.map_or(std::time::Duration::ZERO, |s| s.elapsed()),
-            );
-        } else if inline {
-            for block in 0..n_blocks {
-                run_block(block);
-            }
-        } else {
-            (0..n_blocks).into_par_iter().for_each(|block| {
-                run_block(block);
-            });
+        if n_blocks == 0 {
+            dev.record(name, 0, BlockCounters::default(), Duration::ZERO, shared_per_block);
+            return Ok(());
         }
+        let start = Instant::now();
+        let fault = dev.next_launch_fault();
+        let (run_limit, stuck) = dev.apply_fault(fault, n_blocks);
+        let shadow = P::RACECHECK.then(|| Arc::new(LaunchShadow::new(name)));
+        let totals = Mutex::new(BlockCounters::default());
+        // An abort runs only the prefix `0..run_limit`; a stuck block runs
+        // nothing.
+        run_blocks(threads, run_limit, |block| {
+            if Some(block) == stuck {
+                return;
+            }
+            let _rc = shadow.as_ref().map(|s| BlockGuard::install(s.clone(), block));
+            let mut counters = BlockCounters::default();
+            body(block, &mut counters);
+            totals.lock().merge(&counters);
+        });
+        let executed = run_limit - usize::from(stuck.is_some());
+        dev.record(name, executed as u64, totals.into_inner(), start.elapsed(), shared_per_block);
         dev.absorb_shadow(shadow);
         dev.fault_outcome(fault, name, run_limit, stuck, n_blocks)
     }
@@ -855,7 +666,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::memory::{GlobalF64, GlobalU32};
-    use crate::profile::{Fast, Profile};
+    use crate::profile::Profile;
 
     fn tiny() -> Device {
         // Counter-asserting tests must not be flipped by CD_GPUSIM_PROFILE.
@@ -984,58 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_launches_compute_the_same_and_record_nothing() {
-        let cfg = DeviceConfig::test_tiny();
-        let slow = Device::new(cfg.clone().with_profile(Profile::Instrumented));
-        let fast = Device::new(cfg.with_profile(Profile::Fast));
-        assert_eq!(fast.profile(), Profile::Fast);
-
-        let run = |dev: &Device, out: &GlobalU32| match dev.profile() {
-            Profile::Instrumented => run_typed::<Instrumented>(dev, out),
-            Profile::Fast => run_typed::<Fast>(dev, out),
-            Profile::Racecheck => run_typed::<crate::profile::Racecheck>(dev, out),
-            Profile::Parallel => run_typed::<crate::profile::Parallel>(dev, out),
-        };
-        fn run_typed<P: ExecutionProfile>(dev: &Device, out: &GlobalU32) {
-            let ex = dev.exec::<P>();
-            ex.launch_threads("init", 500, |ctx, t| {
-                ctx.atomic_add_u32(out, t % 10, 1);
-            });
-            ex.launch_tasks(
-                "tasks",
-                100,
-                8,
-                0,
-                || (),
-                |ctx, _, task| {
-                    ctx.atomic_add_u32(out, task % 10, 1);
-                },
-            );
-            ex.launch_blocks(
-                "blocks",
-                3,
-                |b| b as u32,
-                |ctx, b| {
-                    ctx.atomic_add_u32(out, *b as usize, 5);
-                },
-            );
-        }
-
-        let a = GlobalU32::zeroed(10);
-        let b = GlobalU32::zeroed(10);
-        run(&slow, &a);
-        run(&fast, &b);
-        // Identical semantics...
-        assert_eq!(a.to_vec(), b.to_vec());
-        // ...but Fast records no kernel entries, while Instrumented has all 3.
-        assert_eq!(slow.metrics().kernels().len(), 3);
-        let fm = fast.metrics();
-        assert!(fm.kernels().is_empty());
-        assert_eq!(fm.profile(), Profile::Fast);
-        assert_eq!(slow.metrics().profile(), Profile::Instrumented);
-    }
-
-    #[test]
     fn parallel_launches_match_lockstep_and_record_nothing() {
         use crate::profile::Parallel;
         let cfg = DeviceConfig::test_tiny();
@@ -1156,21 +915,120 @@ mod tests {
         assert!(reports[0].to_string().contains("launch.rs"), "{}", reports[0]);
     }
 
-    #[test]
-    fn fast_launches_still_validate_configuration() {
-        let dev = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Fast));
-        let e = dev.exec::<Fast>().try_launch_tasks("bad", 1, 5, 0, || (), |_, _, _: usize| {});
-        assert_eq!(e, Err(LaunchError::InvalidGroupWidth { lanes: 5 }));
-        let e = dev.exec::<Fast>().try_launch_tasks("big", 10, 4, 512, || (), |_, _, _: usize| {});
-        assert!(matches!(e, Err(LaunchError::SharedMemoryExceeded { .. })));
+    /// Runs one launch of each shape on `dev` and returns its recorded
+    /// `(name, launches, blocks, counters)` per kernel. No f64 atomics:
+    /// their CAS retries count real contention, which does depend on how
+    /// many blocks run at once.
+    fn record_each_shape(dev: &Device) -> Vec<(String, u64, u64, BlockCounters)> {
+        let out = GlobalU32::zeroed(64);
+        dev.launch_tasks(
+            "tasks",
+            1000,
+            8,
+            16,
+            || (),
+            |ctx, _, task| {
+                ctx.step(task % 8 + 1);
+                ctx.global_read_scattered(task % 3);
+                ctx.atomic_add_u32(&out, task % 64, 1);
+            },
+        );
+        dev.launch_blocks(
+            "blocks",
+            37,
+            |b| b,
+            |ctx, b| {
+                ctx.strided_steps(*b * 5 + 1);
+                ctx.barrier();
+                let _ = ctx.cas_u32(&out, *b % 64, 0, 1);
+            },
+        );
+        dev.launch_threads("threads", 3000, |ctx, t| {
+            ctx.global_write_coalesced(1);
+            ctx.atomic_add_u32(&out, t % 64, 2);
+        });
+        let m = dev.metrics();
+        ["tasks", "blocks", "threads"]
+            .iter()
+            .map(|&k| {
+                let km = m.kernel(k).unwrap();
+                (k.to_string(), km.launches, km.blocks, km.counters)
+            })
+            .collect()
+    }
+
+    fn instrumented_at(threads: usize) -> DeviceConfig {
+        DeviceConfig::test_tiny().with_profile(Profile::Instrumented).with_threads(threads)
     }
 
     #[test]
-    fn try_new_rejects_faults_on_fast() {
-        let cfg = DeviceConfig::test_tiny()
-            .with_fault_plan(FaultPlan::seeded(1).with_abort_rate(0.5))
-            .with_profile(Profile::Fast);
-        assert!(matches!(Device::try_new(cfg), Err(ConfigError::FaultsRequireInstrumented)));
+    fn instrumented_records_the_same_at_every_thread_count() {
+        let reference = record_each_shape(&Device::new(instrumented_at(1)));
+        assert!(reference.iter().all(|(_, launches, blocks, c)| *launches == 1
+            && *blocks > 1
+            && c.atomic_adds + c.cas_ops > 0));
+        for threads in [2, 8] {
+            let got = record_each_shape(&Device::new(instrumented_at(threads)));
+            assert_eq!(got, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn injected_faults_land_the_same_at_every_thread_count() {
+        // (outcome, side effects that persist, recorded blocks) of one
+        // faulty launch per thread count.
+        let faulty_launch = |plan: FaultPlan, threads: usize| {
+            let dev = Device::new(instrumented_at(threads).with_fault_plan(plan));
+            let hits = GlobalU32::zeroed(1000);
+            let r = dev.try_launch_tasks(
+                "visit",
+                1000,
+                8,
+                0,
+                || (),
+                |ctx, _, task| {
+                    ctx.atomic_add_u32(&hits, task, 1);
+                },
+            );
+            (r, hits.to_vec(), dev.metrics().kernel("visit").unwrap().blocks)
+        };
+        let abort = FaultPlan::seeded(9).with_abort_rate(1.0);
+        let stuck = FaultPlan::seeded(3).with_stuck_rate(1.0);
+        for plan in [abort, stuck] {
+            let reference = faulty_launch(plan, 1);
+            assert!(reference.0.is_err());
+            for threads in [2, 8] {
+                assert_eq!(faulty_launch(plan, threads), reference, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn racecheck_reports_the_same_races_at_every_thread_count() {
+        use crate::profile::Racecheck;
+        let races = |threads: usize| {
+            let dev = Device::new(
+                DeviceConfig::test_tiny().with_profile(Profile::Racecheck).with_threads(threads),
+            );
+            let out = GlobalU32::zeroed(1);
+            dev.exec::<Racecheck>().launch_threads("plain-store", 256, |_, t| {
+                out.store(0, t as u32);
+            });
+            let mut found: Vec<_> = dev
+                .race_reports()
+                .iter()
+                .map(|r| {
+                    let mut pair = [r.first.site.to_string(), r.second.site.to_string()];
+                    pair.sort();
+                    (pair, r.class)
+                })
+                .collect();
+            found.sort_by_key(|(pair, class)| (pair.clone(), format!("{class:?}")));
+            found
+        };
+        let reference = races(1);
+        assert_eq!(reference.len(), 2);
+        assert_eq!(races(8), reference);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! relies on: active-lane fractions, atomic/CAS traffic, memory transactions,
 //! and a first-order cycle model.
 //!
-//! Blocks run concurrently on the rayon thread pool, so algorithms written
-//! against this simulator get real multicore speedups; lanes within a group
-//! execute in lockstep on one worker, which is semantically identical to SIMD
-//! execution and lets the simulator account divergence.
+//! Blocks run concurrently on a persistent work-claiming thread pool, so
+//! algorithms written against this simulator get real multicore speedups;
+//! lanes within a group execute in lockstep on one worker, which is
+//! semantically identical to SIMD execution and lets the simulator account
+//! divergence.
 //!
 //! ```
 //! use cd_gpusim::{Device, DeviceConfig, GlobalU32, Profile};
@@ -28,10 +29,10 @@
 //! ```
 //!
 //! Observability is pluggable: see [`profile`] for the
-//! `Instrumented`/`Fast`/`Racecheck`/`Parallel` split between execution
-//! semantics and accounting, [`racecheck`] for the happens-before hazard
-//! detector the third profile turns on, and [`schedule`] for the persistent
-//! work-claiming pool the fourth profile runs blocks on.
+//! `Instrumented`/`Racecheck`/`Parallel` split between execution semantics
+//! and accounting, [`racecheck`] for the happens-before hazard detector the
+//! second profile turns on, and [`schedule`] for the block scheduler every
+//! profile runs its launches on.
 
 #![warn(missing_docs)]
 
@@ -54,7 +55,5 @@ pub use launch::{Device, Exec};
 pub use memory::{GlobalF64, GlobalU32, GlobalU64};
 pub use metrics::{BlockCounters, KernelMetrics, MetricsReport};
 pub use pool::{PoolStats, PooledF64, PooledU32, PooledU64};
-pub use profile::{
-    ConfigError, ExecutionProfile, Fast, Instrumented, Parallel, Profile, Racecheck,
-};
+pub use profile::{ConfigError, ExecutionProfile, Instrumented, Parallel, Profile, Racecheck};
 pub use racecheck::{AccessKind, MemSpace, RaceClass, RaceReport};

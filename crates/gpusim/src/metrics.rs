@@ -167,16 +167,15 @@ impl MetricsReport {
     }
 
     /// The execution profile of the device that produced this report. Under
-    /// [`crate::Profile::Fast`] no kernel entries are recorded — consumers
+    /// [`crate::Profile::Parallel`] no kernel entries are recorded — consumers
     /// should report that explicitly rather than print zeroed counters.
     pub fn profile(&self) -> crate::profile::Profile {
         self.profile
     }
 
-    /// Effective host worker threads of the device's execution backend (see
+    /// Host worker threads the device ran its blocks on (see
     /// [`DeviceConfig::effective_threads`]): the resolved `CD_GPUSIM_THREADS`
-    /// count under [`crate::Profile::Parallel`], and 1 for the lockstep
-    /// profiles, which execute launches on the calling thread.
+    /// count, under every profile.
     pub fn threads(&self) -> usize {
         self.threads
     }

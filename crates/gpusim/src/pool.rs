@@ -118,10 +118,10 @@ impl PoolStore {
 /// overflows to the shared device pool so one thread cannot hoard memory.
 const TLS_CACHE_CAP: usize = 4;
 
-/// Thread-local free lists used by the uninstrumented profiles (Fast and
-/// Parallel): acquisitions and releases on the hot path skip the device
-/// mutex entirely, which matters once [`crate::Profile::Parallel`] runs
-/// blocks from many worker threads at once. Buffers are plain host
+/// Thread-local free lists used by the uninstrumented
+/// [`crate::Profile::Parallel`] profile: acquisitions and releases on the hot
+/// path skip the device mutex entirely, which matters when blocks run from
+/// many worker threads at once. Buffers are plain host
 /// allocations with no device affinity, so a list shared across devices is
 /// safe; they are re-zeroed on every acquisition. The instrumented profiles
 /// bypass this cache so [`PoolStats`] stays an exact account of pool
@@ -217,7 +217,7 @@ impl Device {
     }
 
     /// Pool counters since the last metrics reset. Exact under the
-    /// instrumented profiles; under Fast/Parallel the thread-local free
+    /// instrumented profiles; under Parallel the thread-local free
     /// lists serve steady-state traffic without touching these counters, so
     /// only cold misses and cache overflow show up here.
     pub fn pool_stats(&self) -> PoolStats {
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn tls_cache_overflow_returns_to_the_device_pool() {
         use crate::profile::Profile;
-        let d = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Fast));
+        let d = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Parallel));
         // Hold more same-class buffers than the TLS cap, then drop them all:
         // the overflow must land in the shared pool, where an instrumented
         // device can observe it as a hit.

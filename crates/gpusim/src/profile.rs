@@ -9,30 +9,32 @@
 //! much of the second layer is compiled into the first:
 //!
 //! * [`Instrumented`] (the default) keeps every counter, the cycle model, and
-//!   the fault injector: today's behaviour, bit for bit.
-//! * [`Fast`] compiles all accounting to no-ops and skips metric recording and
-//!   the cycle model. Kernels produce identical results (same labels, same
-//!   modularity) but [`crate::Device::metrics`] reports no kernel entries.
+//!   the fault injector: the `nvprof` stand-in.
 //! * [`Racecheck`] keeps everything [`Instrumented`] does and additionally
 //!   routes memory accesses through the [`crate::racecheck`] happens-before
 //!   detector, surfacing data races the lockstep simulator would otherwise
 //!   mask as typed [`crate::RaceReport`]s on the metrics report.
-//! * [`Parallel`] compiles accounting out like [`Fast`] and additionally
-//!   retargets launches at real host parallelism: blocks execute as direct
-//!   scalar loops on a persistent worker pool ([`crate::schedule`]) instead
-//!   of being interleaved warp-by-warp on one thread. Results stay
-//!   bit-identical regardless of thread count (`CD_GPUSIM_THREADS`).
+//! * [`Parallel`] is the answer path: accounting compiles to no-ops, metric
+//!   recording and the cycle model are skipped, and each block runs as a
+//!   direct scalar loop instead of being interleaved warp-by-warp.
+//!   Kernels produce identical results (same labels, same modularity) but
+//!   [`crate::Device::metrics`] reports no kernel entries.
+//!
+//! Every profile runs its blocks on the persistent worker pool of
+//! [`crate::schedule`], `CD_GPUSIM_THREADS` /
+//! [`crate::DeviceConfig::with_threads`] wide; results stay bit-identical
+//! regardless of thread count.
 //!
 //! Selection is **monomorphized**: kernel bodies are generic over
 //! `P: ExecutionProfile` and gate accounting on the associated constants
 //! [`ExecutionProfile::INSTRUMENTED`] / [`ExecutionProfile::RACECHECK`],
 //! which the compiler const-folds away per instantiation. There is no
-//! per-access runtime branch; the only runtime dispatch is one `match` on
-//! [`Profile`] at each driver entry point.
+//! per-access runtime branch; the only runtime dispatch is
+//! [`dispatch_profile!`](crate::dispatch_profile) at each driver entry point.
 //!
 //! Fault injection needs the instrumented launch path (fault draws and
 //! sequence numbers live there), so an active [`crate::FaultPlan`] combined
-//! with [`Profile::Fast`] is rejected at device construction with
+//! with [`Profile::Parallel`] is rejected at device construction with
 //! [`ConfigError::FaultsRequireInstrumented`]. Combining faults with
 //! [`Profile::Racecheck`] is rejected too
 //! ([`ConfigError::FaultsIncompatibleWithRacecheck`]): an injected bit flip
@@ -44,21 +46,20 @@ use std::fmt;
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::Instrumented {}
-    impl Sealed for super::Fast {}
     impl Sealed for super::Racecheck {}
     impl Sealed for super::Parallel {}
 }
 
 /// Compile-time execution profile selector.
 ///
-/// Implemented only by the marker types [`Instrumented`], [`Fast`], and
-/// [`Racecheck`] (the trait is sealed). Code that is generic over
+/// Implemented only by the marker types [`Instrumented`], [`Racecheck`],
+/// and [`Parallel`] (the trait is sealed). Code that is generic over
 /// `P: ExecutionProfile` gates accounting work on
 /// [`ExecutionProfile::INSTRUMENTED`] and hazard detection on
 /// [`ExecutionProfile::RACECHECK`]; because the flags are associated
 /// `const`s, each instantiation monomorphizes to a body with the unused
-/// machinery compiled out — no per-access branching survives in the `Fast`
-/// instantiation.
+/// machinery compiled out — no per-access branching survives in the
+/// `Parallel` instantiation.
 pub trait ExecutionProfile: sealed::Sealed + Send + Sync + 'static {
     /// Whether this profile records counters, runs the cycle model, and
     /// participates in fault injection.
@@ -66,11 +67,6 @@ pub trait ExecutionProfile: sealed::Sealed + Send + Sync + 'static {
     /// Whether this profile routes memory accesses through the
     /// happens-before race detector ([`crate::racecheck`]).
     const RACECHECK: bool = false;
-    /// Whether launches run blocks as real host threads (direct scalar
-    /// execution, no per-warp interleaving) instead of lockstep emulation.
-    /// Only [`Parallel`] sets this; see the native scheduler in
-    /// [`crate::schedule`].
-    const NATIVE: bool = false;
     /// The runtime selector value corresponding to this marker type.
     const PROFILE: Profile;
 }
@@ -80,14 +76,6 @@ pub trait ExecutionProfile: sealed::Sealed + Send + Sync + 'static {
 /// behaviour bit for bit and is the default everywhere.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Instrumented;
-
-/// Marker type for the raced profile: accounting is compiled to no-ops,
-/// launches skip counter merging, metric recording, and fault draws. Kernel
-/// *semantics* are untouched — results are bit-identical to [`Instrumented`] —
-/// but [`crate::Device::metrics`] reports no kernel entries and fault
-/// injection is unavailable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Fast;
 
 /// Marker type for the hazard-detecting profile: everything [`Instrumented`]
 /// records stays on (counters, cycle model, thrust interception), and every
@@ -100,11 +88,12 @@ pub struct Fast;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Racecheck;
 
-/// Marker type for the native-parallel profile: accounting is compiled out
-/// like [`Fast`], and in addition launches retarget blocks at *actual host
-/// parallelism* — each block runs as one direct scalar loop on a worker
-/// thread of the persistent scheduler pool (see [`crate::schedule`]), with
-/// no per-warp interleaving and no per-lane `step()` bookkeeping. Results
+/// Marker type for the native-parallel profile, the answer path: accounting
+/// is compiled to no-ops, launches skip counter merging, metric recording,
+/// and fault draws, and each block runs as one direct scalar loop on a
+/// worker thread of the persistent scheduler pool (see [`crate::schedule`]),
+/// with no per-warp interleaving and no per-lane `step()` bookkeeping.
+/// [`crate::Device::metrics`] reports no kernel entries. Results
 /// stay bit-identical to the other profiles independent of thread count and
 /// schedule: floating-point commits go through sharded accumulators reduced
 /// in fixed shard order and compactions are order-stable, so work-claiming
@@ -119,11 +108,6 @@ impl ExecutionProfile for Instrumented {
     const PROFILE: Profile = Profile::Instrumented;
 }
 
-impl ExecutionProfile for Fast {
-    const INSTRUMENTED: bool = false;
-    const PROFILE: Profile = Profile::Fast;
-}
-
 impl ExecutionProfile for Racecheck {
     const INSTRUMENTED: bool = true;
     const RACECHECK: bool = true;
@@ -132,7 +116,6 @@ impl ExecutionProfile for Racecheck {
 
 impl ExecutionProfile for Parallel {
     const INSTRUMENTED: bool = false;
-    const NATIVE: bool = true;
     const PROFILE: Profile = Profile::Parallel;
 }
 
@@ -144,12 +127,10 @@ pub enum Profile {
     /// Full observability (counters, cycle model, fault injection).
     #[default]
     Instrumented,
-    /// Accounting compiled out; semantics only.
-    Fast,
     /// Full observability plus happens-before race detection.
     Racecheck,
-    /// Accounting compiled out *and* blocks run as real host threads
-    /// (direct scalar execution on the persistent scheduler pool).
+    /// Accounting compiled out and blocks run as direct scalar loops: the
+    /// answer path.
     Parallel,
 }
 
@@ -165,18 +146,11 @@ impl Profile {
         matches!(self, Profile::Racecheck)
     }
 
-    /// True for [`Profile::Parallel`]: launches run blocks as real host
-    /// threads instead of lockstep emulation.
-    pub fn is_native(self) -> bool {
-        matches!(self, Profile::Parallel)
-    }
-
-    /// Parses `"instrumented"`, `"fast"`, `"racecheck"`, or `"parallel"`
+    /// Parses `"instrumented"`, `"racecheck"`, or `"parallel"`
     /// (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "instrumented" => Some(Profile::Instrumented),
-            "fast" => Some(Profile::Fast),
             "racecheck" => Some(Profile::Racecheck),
             "parallel" => Some(Profile::Parallel),
             _ => None,
@@ -184,21 +158,72 @@ impl Profile {
     }
 
     /// Profile selected by the `CD_GPUSIM_PROFILE` environment variable
-    /// (`instrumented` | `fast` | `racecheck` | `parallel`), defaulting to
-    /// [`Profile::Instrumented`] when unset or unparseable.
-    /// [`crate::DeviceConfig`] constructors consult this so a whole test
-    /// suite can be re-run under another profile without code changes (CI
-    /// does exactly that for all four).
+    /// (`instrumented` | `racecheck` | `parallel`), defaulting to
+    /// [`Profile::Instrumented`] when unset or empty. [`crate::DeviceConfig`]
+    /// constructors consult this so a whole test suite can be re-run under
+    /// another profile without code changes (CI does exactly that for all
+    /// three). Panics on any other value rather than quietly running a
+    /// different profile than the one asked for.
     pub fn from_env() -> Self {
-        std::env::var("CD_GPUSIM_PROFILE").ok().and_then(|v| Self::parse(&v)).unwrap_or_default()
+        Self::from_env_value(std::env::var("CD_GPUSIM_PROFILE").ok().as_deref())
     }
+
+    /// [`Profile::from_env`] as a pure function of the variable's value.
+    fn from_env_value(value: Option<&str>) -> Self {
+        value.map(str::trim).filter(|v| !v.is_empty()).map_or(Profile::default(), |v| {
+            Self::parse(v).unwrap_or_else(|| {
+                panic!(
+                    "CD_GPUSIM_PROFILE={v:?} is not a profile; \
+                     expected instrumented, racecheck, or parallel"
+                )
+            })
+        })
+    }
+}
+
+/// Evaluates `$body` with the type `$P` bound to the marker type of the
+/// runtime [`Profile`] `$profile`: the one place a runtime selector becomes
+/// a monomorphized instantiation.
+///
+/// ```
+/// use cd_gpusim::{dispatch_profile, Device, DeviceConfig, ExecutionProfile, GlobalU32, Profile};
+///
+/// fn histogram<P: ExecutionProfile>(dev: &Device, counts: &GlobalU32) {
+///     dev.exec::<P>().launch_threads("histogram", 1000, |ctx, t| {
+///         ctx.atomic_add_u32(counts, t as usize % 4, 1);
+///     });
+/// }
+///
+/// let dev = Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Parallel));
+/// let counts = GlobalU32::zeroed(4);
+/// dispatch_profile!(dev.profile(), P => histogram::<P>(&dev, &counts));
+/// assert_eq!(counts.to_vec(), vec![250, 250, 250, 250]);
+/// assert!(dev.metrics().kernels().is_empty()); // Parallel records nothing
+/// ```
+#[macro_export]
+macro_rules! dispatch_profile {
+    ($profile:expr, $P:ident => $body:expr) => {
+        match $profile {
+            $crate::Profile::Instrumented => {
+                type $P = $crate::Instrumented;
+                $body
+            }
+            $crate::Profile::Racecheck => {
+                type $P = $crate::Racecheck;
+                $body
+            }
+            $crate::Profile::Parallel => {
+                type $P = $crate::Parallel;
+                $body
+            }
+        }
+    };
 }
 
 impl fmt::Display for Profile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Profile::Instrumented => write!(f, "instrumented"),
-            Profile::Fast => write!(f, "fast"),
             Profile::Racecheck => write!(f, "racecheck"),
             Profile::Parallel => write!(f, "parallel"),
         }
@@ -209,7 +234,7 @@ impl fmt::Display for Profile {
 /// [`crate::Device::try_new`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// An active [`crate::FaultPlan`] was combined with [`Profile::Fast`].
+    /// An active [`crate::FaultPlan`] was combined with [`Profile::Parallel`].
     /// Fault draws, launch sequence numbers, and detection counters all live
     /// in the instrumented launch path, so faults require
     /// [`Profile::Instrumented`].
@@ -229,7 +254,7 @@ impl fmt::Display for ConfigError {
             ConfigError::FaultsRequireInstrumented => write!(
                 f,
                 "fault injection requires the instrumented profile: \
-                 an active FaultPlan cannot be combined with Profile::Fast"
+                 an active FaultPlan cannot be combined with Profile::Parallel"
             ),
             ConfigError::FaultsIncompatibleWithRacecheck => write!(
                 f,
@@ -249,35 +274,56 @@ mod tests {
 
     #[test]
     fn parse_accepts_all_profiles_case_insensitively() {
-        assert_eq!(Profile::parse("fast"), Some(Profile::Fast));
-        assert_eq!(Profile::parse("FAST"), Some(Profile::Fast));
         assert_eq!(Profile::parse("Instrumented"), Some(Profile::Instrumented));
         assert_eq!(Profile::parse("racecheck"), Some(Profile::Racecheck));
         assert_eq!(Profile::parse("RaceCheck"), Some(Profile::Racecheck));
         assert_eq!(Profile::parse("parallel"), Some(Profile::Parallel));
         assert_eq!(Profile::parse("PARALLEL"), Some(Profile::Parallel));
+        assert_eq!(Profile::parse("fast"), None);
         assert_eq!(Profile::parse("turbo"), None);
+    }
+
+    #[test]
+    fn env_value_selects_the_profile_or_defaults_when_unset() {
+        assert_eq!(Profile::from_env_value(None), Profile::Instrumented);
+        assert_eq!(Profile::from_env_value(Some("")), Profile::Instrumented);
+        assert_eq!(Profile::from_env_value(Some("racecheck")), Profile::Racecheck);
+        assert_eq!(Profile::from_env_value(Some(" Parallel\n")), Profile::Parallel);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "CD_GPUSIM_PROFILE=\"paralel\" is not a profile; expected instrumented, racecheck, or parallel"
+    )]
+    fn env_value_typo_fails_loudly() {
+        Profile::from_env_value(Some("paralel"));
+    }
+
+    #[test]
+    #[should_panic(expected = "CD_GPUSIM_PROFILE=\"fast\" is not a profile")]
+    fn env_value_of_a_removed_profile_fails_loudly() {
+        Profile::from_env_value(Some("fast"));
     }
 
     #[test]
     fn marker_constants_match_runtime_selectors() {
         const { assert!(Instrumented::INSTRUMENTED) };
-        const { assert!(!Fast::INSTRUMENTED) };
         const { assert!(Racecheck::INSTRUMENTED) };
         const { assert!(Racecheck::RACECHECK) };
         const { assert!(!Instrumented::RACECHECK) };
-        const { assert!(!Fast::RACECHECK) };
         const { assert!(!Parallel::INSTRUMENTED) };
         const { assert!(!Parallel::RACECHECK) };
-        const { assert!(Parallel::NATIVE) };
-        const { assert!(!Instrumented::NATIVE) };
-        const { assert!(!Fast::NATIVE) };
-        const { assert!(!Racecheck::NATIVE) };
         assert_eq!(Instrumented::PROFILE, Profile::Instrumented);
-        assert_eq!(Fast::PROFILE, Profile::Fast);
         assert_eq!(Racecheck::PROFILE, Profile::Racecheck);
         assert_eq!(Parallel::PROFILE, Profile::Parallel);
         assert_eq!(Profile::default(), Profile::Instrumented);
+    }
+
+    #[test]
+    fn dispatch_profile_binds_the_matching_marker() {
+        for p in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
+            assert_eq!(dispatch_profile!(p, M => M::PROFILE), p);
+        }
     }
 
     #[test]
@@ -285,23 +331,18 @@ mod tests {
         assert!(Profile::Racecheck.is_instrumented());
         assert!(Profile::Racecheck.is_racecheck());
         assert!(!Profile::Instrumented.is_racecheck());
-        assert!(!Profile::Fast.is_racecheck());
-        assert!(!Profile::Fast.is_instrumented());
     }
 
     #[test]
-    fn parallel_is_native_and_uninstrumented() {
-        assert!(Profile::Parallel.is_native());
+    fn parallel_is_uninstrumented() {
         assert!(!Profile::Parallel.is_instrumented());
         assert!(!Profile::Parallel.is_racecheck());
-        assert!(!Profile::Instrumented.is_native());
-        assert!(!Profile::Fast.is_native());
-        assert!(!Profile::Racecheck.is_native());
+        assert!(Profile::Instrumented.is_instrumented());
     }
 
     #[test]
     fn display_round_trips_through_parse() {
-        for p in [Profile::Instrumented, Profile::Fast, Profile::Racecheck, Profile::Parallel] {
+        for p in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
             assert_eq!(Profile::parse(&p.to_string()), Some(p));
         }
     }

@@ -1,10 +1,7 @@
-//! Persistent work-claiming block scheduler for the native-parallel backend.
-//!
-//! [`Profile::Parallel`](crate::Profile::Parallel) launches hand their blocks
-//! to this module instead of running them interleaved on the calling thread.
-//! The design mirrors the vendored-rayon persistent pool (spawn once, park
-//! between launches, propagate panics) but differs where the backend needs
-//! it to:
+//! Persistent work-claiming block scheduler: every launch, under every
+//! execution profile, hands its blocks to this module. The design mirrors
+//! the vendored-rayon persistent pool (spawn once, park between launches,
+//! propagate panics) but differs where the simulator needs it to:
 //!
 //! * **Grow on demand.** The vendored pool is sized to the host's available
 //!   parallelism at first use. Launches here carry an explicit thread count
@@ -133,9 +130,8 @@ pub fn workers_spawned() -> usize {
 /// after the whole launch drains.
 ///
 /// `threads <= 1` or `n_blocks <= 1` degenerates to an inline loop on the
-/// calling thread with zero synchronisation — the Parallel profile's
-/// single-thread path must not pay pool overhead to stay within the
-/// single-core perf budget.
+/// calling thread with zero synchronisation — a single-thread launch must
+/// not pay pool overhead to stay within the single-core perf budget.
 pub fn run_blocks(threads: usize, n_blocks: usize, run: impl Fn(usize) + Sync) {
     if n_blocks == 0 {
         return;

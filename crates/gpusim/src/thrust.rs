@@ -5,10 +5,10 @@
 //! All primitives are deterministic: parallel reductions use fixed chunk
 //! boundaries so floating-point results do not depend on scheduling. Each
 //! call is recorded in the device metrics as a kernel launch named
-//! `thrust::<op>` — unless the device runs the [`crate::Profile::Fast`]
-//! profile, in which case recording is skipped (one branch per *call*, never
-//! per element; the collective computations themselves are identical under
-//! both profiles).
+//! `thrust::<op>` — unless the device runs the uninstrumented
+//! [`crate::Profile::Parallel`] profile, in which case recording is skipped
+//! (one branch per *call*, never per element; the collective computations
+//! themselves are identical under every profile).
 
 use crate::launch::Device;
 use crate::memory::GlobalF64;
@@ -21,8 +21,8 @@ use std::time::Instant;
 const CHUNK: usize = 4096;
 
 /// Timestamps the start of a primitive only when the device records metrics;
-/// under [`crate::Profile::Fast`] the clock read is skipped along with the
-/// rest of the accounting.
+/// under [`crate::Profile::Parallel`] the clock read is skipped along with
+/// the rest of the accounting.
 fn maybe_start(dev: &Device) -> Option<Instant> {
     dev.config().profile.is_instrumented().then(Instant::now)
 }
@@ -39,7 +39,7 @@ fn record_elems(dev: &Device, name: &str, elems: usize, start: Option<Instant>) 
         global_transactions: (2 * elems).div_ceil(16) as u64,
         ..Default::default()
     };
-    dev.record(name, elems.div_ceil(CHUNK) as u64, counters, start.elapsed());
+    dev.record(name, elems.div_ceil(CHUNK) as u64, counters, start.elapsed(), 0);
 }
 
 impl Device {
@@ -365,20 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn fast_profile_computes_identically_but_records_nothing() {
-        let fast = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Fast));
+    fn parallel_profile_computes_identically_but_records_nothing() {
+        let par = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Parallel));
         let slow = dev();
         let mut a: Vec<usize> = (0..5000).map(|i| (i * 13 + 1) % 17).collect();
         let mut b = a.clone();
-        assert_eq!(fast.exclusive_scan_usize(&mut a), slow.exclusive_scan_usize(&mut b));
+        assert_eq!(par.exclusive_scan_usize(&mut a), slow.exclusive_scan_usize(&mut b));
         assert_eq!(a, b);
         let data: Vec<f64> = (0..20_000).map(|i| (i as f64).sin()).collect();
         assert_eq!(
-            fast.reduce_sum_f64(&data).to_bits(),
+            par.reduce_sum_f64(&data).to_bits(),
             slow.reduce_sum_f64(&data).to_bits(),
             "chunked reduction must not depend on the profile"
         );
-        assert!(fast.metrics().kernels().is_empty());
+        assert!(par.metrics().kernels().is_empty());
         assert!(!slow.metrics().kernels().is_empty());
     }
 }

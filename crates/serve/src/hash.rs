@@ -91,13 +91,13 @@ pub fn structural_hash(graph: &Csr) -> u64 {
 /// hash of its patched graph. That promoted key carries this options hash
 /// too, so one algorithm's partition can never be served to another.
 ///
-/// The execution profile contributes **nothing** to the key: the four-way
+/// The execution profile contributes **nothing** to the key: the three-way
 /// equivalence suite enforces (in CI, on every medium workload, across
-/// thread counts) that Instrumented/Fast/Racecheck/Parallel produce
+/// thread counts) that Instrumented/Racecheck/Parallel produce
 /// bit-identical labels and Q, so a result computed under one profile *is*
 /// the result under any other. Coalescing them into one cache line means a
-/// Parallel submission warms the cache for Fast clients and vice versa
-/// instead of recomputing per profile. Profile-dependent observability
+/// Parallel submission warms the cache for Instrumented clients and vice
+/// versa instead of recomputing per profile. Profile-dependent observability
 /// (metrics, race reports) is not part of the cached result.
 pub fn options_hash(options: &JobOptions) -> u64 {
     let cfg = &options.config;
@@ -277,10 +277,10 @@ mod tests {
         }
         assert_eq!(options_hash(&base), hashes[0], "Louvain is the default");
 
-        // The execution profile is *not* semantic: all four profiles are
+        // The execution profile is *not* semantic: all three profiles are
         // bit-identical (enforced by the equivalence suite), so they share
         // one cache line and warm each other's entries.
-        for p in [Profile::Instrumented, Profile::Fast, Profile::Racecheck, Profile::Parallel] {
+        for p in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
             assert_eq!(options_hash(&base), options_hash(&base.with_profile(p)), "{p}");
         }
 

@@ -75,7 +75,7 @@ pub struct DeviceFault {
 /// Priority and deadline are *scheduling* — they decide when (and whether)
 /// the job runs and are deliberately excluded from the key, so a
 /// high-priority resubmission of cached work is still a cache hit. The
-/// execution profile is neither: the four-way equivalence guarantee makes
+/// execution profile is neither: the three-way equivalence guarantee makes
 /// every profile produce the same bits, so profiles share a cache line.
 #[derive(Clone, Copy, Debug)]
 pub struct JobOptions {
@@ -86,7 +86,7 @@ pub struct JobOptions {
     /// Algorithm configuration (thresholds, pruning, buckets, …).
     pub config: GpuLouvainConfig,
     /// Execution profile the job's device is built with. Defaults to
-    /// [`Profile::Fast`]: a serving layer wants throughput, and the
+    /// [`Profile::Parallel`]: a serving layer wants throughput, and the
     /// backend-equivalence guarantee (labels and Q bit-identical across
     /// profiles) means nothing semantic is lost.
     pub profile: Profile,
@@ -107,7 +107,7 @@ impl Default for JobOptions {
         Self {
             algorithm: Algorithm::Louvain,
             config: GpuLouvainConfig::paper_default(),
-            profile: Profile::Fast,
+            profile: Profile::Parallel,
             priority: Priority::Normal,
             deadline: None,
             fault: None,
@@ -395,7 +395,7 @@ mod tests {
         assert_eq!(o.profile, Profile::Racecheck);
         assert_eq!(o.priority, Priority::High);
         assert_eq!(o.deadline, Some(Duration::from_secs(1)));
-        assert_eq!(JobOptions::default().profile, Profile::Fast);
+        assert_eq!(JobOptions::default().profile, Profile::Parallel);
         assert_eq!(JobOptions::default().algorithm, Algorithm::Louvain);
     }
 

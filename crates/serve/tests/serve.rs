@@ -203,7 +203,7 @@ fn coalescing_computes_once_and_shares_the_result() {
 fn cache_hits_are_bit_identical_to_cold_runs_across_profiles() {
     let graph = Arc::new(cliques(6, 8, true));
     let mut baseline: Option<(u64, Vec<VertexId>)> = None;
-    for profile in [Profile::Instrumented, Profile::Fast, Profile::Racecheck, Profile::Parallel] {
+    for profile in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
         let opts = JobOptions::default().with_profile(profile);
 
         // Cold run on a fresh server.
@@ -243,7 +243,7 @@ fn cache_hits_are_bit_identical_to_cold_runs_across_profiles() {
 
 #[test]
 fn profiles_share_one_cache_line() {
-    // The execution profile is scheduling, not semantics: the four-way
+    // The execution profile is scheduling, not semantics: the three-way
     // equivalence suite makes results bit-identical across profiles, so the
     // content key deliberately ignores the profile. A job computed under one
     // profile must therefore warm the cache for every other — resubmitting
@@ -251,12 +251,12 @@ fn profiles_share_one_cache_line() {
     let graph = Arc::new(cliques(6, 8, true));
     let server = manual(16);
     let cold_id = server
-        .submit(Arc::clone(&graph), JobOptions::default().with_profile(Profile::Fast))
+        .submit(Arc::clone(&graph), JobOptions::default().with_profile(Profile::Parallel))
         .unwrap();
     server.run_until_idle();
     let cold_res = server.await_result(cold_id).result().expect("cold run completes").clone();
 
-    for profile in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
+    for profile in [Profile::Instrumented, Profile::Racecheck] {
         let id =
             server.submit(Arc::clone(&graph), JobOptions::default().with_profile(profile)).unwrap();
         match server.await_result(id) {
@@ -267,7 +267,7 @@ fn profiles_share_one_cache_line() {
         }
     }
     let m = server.metrics();
-    assert_eq!((m.cache.misses, m.cache.hits), (1, 3), "one compute serves all four profiles");
+    assert_eq!((m.cache.misses, m.cache.hits), (1, 2), "one compute serves all three profiles");
 }
 
 #[test]

@@ -28,8 +28,8 @@ fn cfg() -> GpuLouvainConfig {
 
 fn faulty_device(seed: u64) -> Device {
     // Fault injection lives in the instrumented launch path, so these tests
-    // pin the profile — the env-var default may be `Fast`, which rejects
-    // active fault plans.
+    // pin the profile — the env-var default may be `Parallel`, which
+    // rejects active fault plans.
     Device::new(
         DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented).with_fault_plan(plan(seed)),
     )
