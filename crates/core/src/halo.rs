@@ -9,9 +9,15 @@
 //!
 //! * `labels[l]` — the **global** community id of every local vertex
 //!   (owned and ghost alike), as of the previous superstep;
-//! * `comm_ids`/`comm_vol`/`comm_size` — sorted community tables carrying
-//!   the globally folded volume `a_c` and size of every community any local
-//!   vertex belongs to.
+//! * `comm_slot[l]` — the slot of that community in the shard's community
+//!   table, and `comm_vol`/`comm_size` — the table itself: the globally
+//!   folded volume `a_c` and size of every community any local vertex
+//!   belongs to, one slot each.
+//!
+//! A community lookup is a slot gather plus a table read — two scattered
+//! reads, whatever the table size. The slots are shard-private storage
+//! positions: the kernel hashes, compares and proposes global community ids
+//! only, so slot numbering never reaches a decision.
 //!
 //! Because communities are identified by their global ids and the tables
 //! are global folds, a vertex's proposal is a pure function of (its full
@@ -52,6 +58,10 @@ const HALO_MOVE_KERNELS: [&str; 7] = [
     "halo_move_b7",
 ];
 
+/// Modeled scattered reads of one community lookup: the local vertex's
+/// slot, then the table entry.
+const LOOKUP_READS: usize = 2;
+
 /// A shard's frozen view of one superstep. All slices are host-resident
 /// (like `OptState::k`); the kernels charge the reads they model.
 #[derive(Clone, Copy)]
@@ -65,28 +75,25 @@ pub struct HaloView<'a> {
     pub k: &'a [f64],
     /// Global community id of every local vertex (previous superstep).
     pub labels: &'a [u32],
-    /// Sorted global community ids present in this shard's view.
-    pub comm_ids: &'a [u32],
-    /// Globally folded community volume `a_c` per `comm_ids` entry.
+    /// Table slot of every local vertex's community, aligned with `labels`.
+    pub comm_slot: &'a [u32],
+    /// Globally folded community volume `a_c` per table slot.
     pub comm_vol: &'a [f64],
-    /// Globally folded community size per `comm_ids` entry.
+    /// Globally folded community size per table slot.
     pub comm_size: &'a [u32],
     /// `2m` of the (global) level graph.
     pub two_m: f64,
 }
 
 impl<'a> HaloView<'a> {
-    /// Index of a community in the sorted table. Every label reachable from
-    /// a local vertex is present by construction; a miss is a driver bug.
-    fn slot_of(&self, c: u32) -> usize {
-        self.comm_ids.binary_search(&c).expect("community missing from halo table")
+    /// Volume `a_c` of local vertex `l`'s community.
+    fn vol(&self, l: usize) -> f64 {
+        self.comm_vol[self.comm_slot[l] as usize]
     }
 
-    /// Cost of one table lookup in modeled scattered reads (binary search
-    /// over the sorted community table — the price the sharded path pays
-    /// for not holding a dense global `a_c` array).
-    fn lookup_reads(&self) -> usize {
-        (usize::BITS - self.comm_ids.len().leading_zeros()) as usize + 1
+    /// Size of local vertex `l`'s community.
+    fn size(&self, l: usize) -> u32 {
+        self.comm_size[self.comm_slot[l] as usize]
     }
 }
 
@@ -255,8 +262,9 @@ fn move_one<P: ExecutionProfile>(
 /// track per-lane bests on the running `e_{i→c}` sums (the lane observing a
 /// slot's final update sees the full sum, and partial observations can
 /// never beat it — `computeMove`'s exactness argument), reduce, and stage
-/// the winner. `a_c` and community sizes come from the frozen sorted tables
-/// instead of dense global arrays — the only structural difference from the
+/// the winner. `a_c` and community sizes come from the shard's frozen
+/// community table, reached through each local vertex's slot, instead of
+/// dense global arrays — the only structural difference from the
 /// single-device kernel.
 fn move_attempt<P: ExecutionProfile>(
     ctx: &mut GroupCtx<P>,
@@ -273,7 +281,6 @@ fn move_attempt<P: ExecutionProfile>(
     let ki = view.k[pos];
     let m = view.two_m / 2.0;
     let lanes = ctx.lanes();
-    let lookup = view.lookup_reads();
 
     table.reset(ctx);
     for lb in lane_best[..lanes].iter_mut() {
@@ -286,8 +293,8 @@ fn move_attempt<P: ExecutionProfile>(
     }
 
     ctx.global_read_coalesced(2); // offsets
-    ctx.global_read_scattered(1 + lookup); // labels[i] + size(ci) lookup
-    let i_singleton = view.comm_size[view.slot_of(ci)] == 1;
+    ctx.global_read_scattered(1 + LOOKUP_READS); // labels[i] + size(ci) lookup
+    let i_singleton = view.size(i) == 1;
 
     let nbrs = g.neighbors(i);
     let ws = g.edge_weights(i);
@@ -313,12 +320,12 @@ fn move_attempt<P: ExecutionProfile>(
         }
         // Singleton ordering rule, on global community ids: a singleton may
         // only join another singleton community with a smaller id.
-        if i_singleton && cj >= ci && view.comm_size[view.slot_of(cj)] == 1 {
-            ctx.global_read_scattered(lookup);
+        if i_singleton && cj >= ci && view.size(j) == 1 {
+            ctx.global_read_scattered(LOOKUP_READS);
             continue;
         }
-        let a_cj = view.comm_vol[view.slot_of(cj)];
-        ctx.global_read_scattered(lookup);
+        let a_cj = view.vol(j);
+        ctx.global_read_scattered(LOOKUP_READS);
         let gain = running / m - ki * a_cj / (2.0 * m * m);
         let lb = &mut lane_best[lane];
         if gain > lb.0 + GAIN_EPS || ((gain - lb.0).abs() <= GAIN_EPS && cj < lb.1) {
@@ -328,8 +335,8 @@ fn move_attempt<P: ExecutionProfile>(
 
     let best = ctx.reduce_best(&lane_best[..lanes]);
     let e_home = table.get(ctx, ci);
-    ctx.global_read_scattered(lookup);
-    let stay = e_home / m - ki * (view.comm_vol[view.slot_of(ci)] - ki) / (2.0 * m * m);
+    ctx.global_read_scattered(LOOKUP_READS);
+    let stay = e_home / m - ki * (view.vol(i) - ki) / (2.0 * m * m);
     let target = match best {
         Some((gain, c)) if c != u32::MAX && gain > stay + GAIN_EPS => c,
         _ => ci,
@@ -365,7 +372,7 @@ pub fn halo_move_host(view: &HaloView<'_>) -> Vec<u32> {
         let ci = view.labels[i];
         let ki = view.k[pos];
         let lanes = MODOPT_BUCKETS[HALO_WIDTHS.bucket_for(deg)].lanes;
-        let i_singleton = view.comm_size[view.slot_of(ci)] == 1;
+        let i_singleton = view.size(i) == 1;
         running.clear();
         let mut lane_best = vec![(f64::NEG_INFINITY, u32::MAX); lanes];
         let nbrs = g.neighbors(i);
@@ -384,10 +391,10 @@ pub fn halo_move_host(view: &HaloView<'_>) -> Vec<u32> {
             let e = running.entry(cj).or_insert(0.0);
             *e += ws[idx];
             let e = *e;
-            if cj == ci || (i_singleton && cj >= ci && view.comm_size[view.slot_of(cj)] == 1) {
+            if cj == ci || (i_singleton && cj >= ci && view.size(j) == 1) {
                 continue;
             }
-            let gain = e / m - ki * view.comm_vol[view.slot_of(cj)] / (2.0 * m * m);
+            let gain = e / m - ki * view.vol(j) / (2.0 * m * m);
             let lb = &mut lane_best[lane];
             if gain > lb.0 + GAIN_EPS || ((gain - lb.0).abs() <= GAIN_EPS && cj < lb.1) {
                 *lb = (gain, cj);
@@ -403,7 +410,7 @@ pub fn halo_move_host(view: &HaloView<'_>) -> Vec<u32> {
             }
         });
         let e_home = running.get(&ci).copied().unwrap_or(0.0);
-        let stay = e_home / m - ki * (view.comm_vol[view.slot_of(ci)] - ki) / (2.0 * m * m);
+        let stay = e_home / m - ki * (view.vol(i) - ki) / (2.0 * m * m);
         if let Some((gain, c)) = best {
             if c != u32::MAX && gain > stay + GAIN_EPS {
                 proposals[pos] = c;
@@ -430,7 +437,7 @@ mod tests {
         owned: &'a [u32],
         k: &'a [f64],
         labels: &'a [u32],
-        comm_ids: &'a [u32],
+        comm_slot: &'a [u32],
         comm_vol: &'a [f64],
         comm_size: &'a [u32],
     ) -> HaloView<'a> {
@@ -439,7 +446,7 @@ mod tests {
             owned,
             k,
             labels,
-            comm_ids,
+            comm_slot,
             comm_vol,
             comm_size,
             two_m: dg.total_weight_m() * 2.0,
@@ -452,18 +459,18 @@ mod tests {
         let owned: Vec<u32> = (0..n as u32).collect();
         let k: Vec<f64> = (0..n as u32).map(|v| g.weighted_degree(v)).collect();
         let labels: Vec<u32> = (0..n as u32).collect();
-        let comm_ids = owned.clone();
+        let comm_slot = owned.clone();
         let comm_vol = k.clone();
         let comm_size = vec![1u32; n];
-        (owned, k, labels, comm_ids, comm_vol, comm_size)
+        (owned, k, labels, comm_slot, comm_vol, comm_size)
     }
 
     #[test]
     fn kernel_matches_host_reference() {
         let g = planted_partition(4, 20, 0.4, 0.05, 3).graph;
         let dg = DeviceGraph::from_csr(&g);
-        let (owned, k, labels, comm_ids, comm_vol, comm_size) = singleton_state(&g);
-        let view = singleton_view(&dg, &owned, &k, &labels, &comm_ids, &comm_vol, &comm_size);
+        let (owned, k, labels, comm_slot, comm_vol, comm_size) = singleton_state(&g);
+        let view = singleton_view(&dg, &owned, &k, &labels, &comm_slot, &comm_vol, &comm_size);
         let cfg = GpuLouvainConfig::paper_default();
         let dev_out = halo_move_pass(&dev(), &view, &cfg).unwrap();
         let host_out = halo_move_host(&view);
@@ -474,8 +481,8 @@ mod tests {
     fn proposals_pull_cliques_together() {
         let g = cliques(3, 6, true);
         let dg = DeviceGraph::from_csr(&g);
-        let (owned, k, labels, comm_ids, comm_vol, comm_size) = singleton_state(&g);
-        let view = singleton_view(&dg, &owned, &k, &labels, &comm_ids, &comm_vol, &comm_size);
+        let (owned, k, labels, comm_slot, comm_vol, comm_size) = singleton_state(&g);
+        let view = singleton_view(&dg, &owned, &k, &labels, &comm_slot, &comm_vol, &comm_size);
         let out = halo_move_pass(&dev(), &view, &GpuLouvainConfig::paper_default()).unwrap();
         // From singletons the singleton ordering rule pins vertex 0 (no
         // smaller-id candidate exists) and lets every other non-bridge
@@ -494,8 +501,8 @@ mod tests {
     fn degree_zero_and_empty_cases() {
         let g = Csr::empty(3);
         let dg = DeviceGraph::from_csr(&g);
-        let (owned, k, labels, comm_ids, comm_vol, comm_size) = singleton_state(&g);
-        let view = singleton_view(&dg, &owned, &k, &labels, &comm_ids, &comm_vol, &comm_size);
+        let (owned, k, labels, comm_slot, comm_vol, comm_size) = singleton_state(&g);
+        let view = singleton_view(&dg, &owned, &k, &labels, &comm_slot, &comm_vol, &comm_size);
         let out = halo_move_pass(&dev(), &view, &GpuLouvainConfig::paper_default()).unwrap();
         assert_eq!(out, labels);
     }

@@ -20,19 +20,22 @@
 //! 2. proposals are gathered in fixed shard order (each vertex is owned
 //!    exactly once, so the gather is conflict-free);
 //! 3. the halo exchange delivers only the wave's *changed* labels: each
-//!    move goes to its owner's resident copy and along the vertex's ghost
-//!    destination list (built once per level from the owner→ghost routing
-//!    table). Each resident slot is written at most once per wave, so the
-//!    final resident state does not depend on delivery order. The per-shard
-//!    resident label arrays are the literal exchanged state, and the sorted
-//!    per-shard community tables handed to the kernel are kept in step with
-//!    them slot by slot. The arrays are revalidated against the canonical
+//!    move goes to its owner's resident copy and to each of the vertex's
+//!    ghost copies (a per-level copy index). Each resident copy is written
+//!    at most once per wave, so the final resident state does not depend on
+//!    delivery order. The per-shard resident label arrays are the literal
+//!    exchanged state; every resident copy also carries the slot of its
+//!    community in its shard's community table, which the exchange moves
+//!    with the label. The arrays are revalidated against the canonical
 //!    labeling every superstep ([`DistTelemetry::lost_labels`] counts
 //!    mismatches and the CI smoke gate pins it at zero);
-//! 4. community volumes/sizes are re-folded **on the host in ascending
-//!    vertex-id order** — a canonical order independent of the shard count.
-//!    (Folding shard partials in shard order would make the f64 sums depend
-//!    on K; see DESIGN.md "Sharded execution" for the determinism argument.)
+//! 4. the communities the wave's moves touched are re-folded **on the host
+//!    over their members in ascending vertex id** — the same f64 additions,
+//!    in the same order, as a full ascending-id fold, so the volumes are
+//!    independent of the shard count and bit-identical to the full fold —
+//!    and only their table slots are rewritten. (Folding shard partials in
+//!    shard order would make the f64 sums depend on K; see DESIGN.md
+//!    "Sharded execution" for the determinism argument.)
 //!
 //! Convergence is detected globally (zero committed moves, or
 //! [`DistConfig::stall_patience`] supersteps whose realized modularity gain
@@ -67,8 +70,13 @@ use cd_core::{
     WidthSchedule, MODOPT_BUCKETS,
 };
 use cd_gpusim::{Device, DeviceConfig, FaultStats};
-use cd_graph::{contract, modularity, Csr, Dendrogram, Partition, ShardedCsr};
+use cd_graph::{
+    contract, modularity, modularity_of_labels, Csr, Dendrogram, Partition, ShardedCsr,
+};
+use communities::Communities;
 use std::time::{Duration, Instant};
+
+mod communities;
 
 /// Configuration of a sharded out-of-core run.
 #[derive(Clone, Debug)]
@@ -281,136 +289,54 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
 
 /// One degree bucket's owned vertices on one shard: local ids, their global
 /// ids, and their weighted degrees, all aligned and ascending by global id.
-/// `ghost_dsts[ghost_off[i]..ghost_off[i + 1]]` lists the (shard, local id)
-/// ghost copies of vertex `i` that the halo exchange refreshes when it
-/// moves.
+#[derive(Default)]
 struct PhaseSlice {
     locals: Vec<u32>,
     globals: Vec<u32>,
     k: Vec<f64>,
-    ghost_off: Vec<u32>,
-    ghost_dsts: Vec<(u32, u32)>,
 }
 
-impl Default for PhaseSlice {
-    fn default() -> Self {
-        Self {
-            locals: Vec::new(),
-            globals: Vec::new(),
-            k: Vec::new(),
-            ghost_off: vec![0],
-            ghost_dsts: Vec::new(),
-        }
-    }
+/// Every vertex's ghost copies as (shard, local id), grouped by vertex: the
+/// halo exchange's destinations, built once per level.
+struct GhostCopies {
+    offsets: Vec<u32>,
+    copies: Vec<(u32, u32)>,
 }
 
-impl PhaseSlice {
-    fn ghosts_of(&self, i: usize) -> &[(u32, u32)] {
-        &self.ghost_dsts[self.ghost_off[i] as usize..self.ghost_off[i + 1] as usize]
-    }
-}
-
-/// One shard's community table: the sorted distinct labels of its resident
-/// (owned + ghost) vertices, with a resident count per label. The halo
-/// exchange updates it slot by slot through [`CommTable::relabel`]; labels
-/// gained or emptied during a wave are merged in or dropped by
-/// [`CommTable::settle`], so a wave costs O(changed slots + |ids|) on the
-/// shards it touches instead of a sort of every resident label.
-struct CommTable {
-    ids: Vec<u32>,
-    count: Vec<u32>,
-    /// Labels gained this wave that are not in `ids` yet (with repeats).
-    inserts: Vec<u32>,
-    /// Some `count` entry reached zero this wave.
-    emptied: bool,
-}
-
-impl CommTable {
-    /// Table of a shard at the start of a level, when every resident vertex
-    /// is its own community: `locals` is ascending, so it is the table.
-    fn singletons(locals: &[u32]) -> Self {
-        Self {
-            ids: locals.to_vec(),
-            count: vec![1; locals.len()],
-            inserts: Vec::new(),
-            emptied: false,
-        }
-    }
-
-    /// One resident slot changes from `old` to `new`. `old` is the slot's
-    /// value at the start of the wave, so it is always in `ids`.
-    fn relabel(&mut self, old: u32, new: u32) {
-        let i = self.ids.binary_search(&old).expect("resident label missing from its table");
-        self.count[i] -= 1;
-        self.emptied |= self.count[i] == 0;
-        match self.ids.binary_search(&new) {
-            Ok(j) => self.count[j] += 1,
-            Err(_) => self.inserts.push(new),
-        }
-    }
-
-    /// Drops emptied labels and merges this wave's new ones in sorted
-    /// order, after which `ids` is again exactly the resident label set.
-    /// Both steps work in place, so a wave allocates nothing.
-    fn settle(&mut self) {
-        if self.emptied {
-            let mut w = 0;
-            for r in 0..self.ids.len() {
-                if self.count[r] > 0 {
-                    self.ids[w] = self.ids[r];
-                    self.count[w] = self.count[r];
-                    w += 1;
-                }
+impl GhostCopies {
+    fn new(sharded: &ShardedCsr) -> Self {
+        let n = sharded.owner.len();
+        let ghosts_of = |t: usize| {
+            let owner = &sharded.owner;
+            sharded.shards[t]
+                .locals
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &v)| owner[v as usize] != t as u32)
+        };
+        let mut offsets = vec![0u32; n + 1];
+        for t in 0..sharded.num_shards() {
+            for (_, &v) in ghosts_of(t) {
+                offsets[v as usize + 1] += 1;
             }
-            self.ids.truncate(w);
-            self.count.truncate(w);
-            self.emptied = false;
         }
-        if self.inserts.is_empty() {
-            return;
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        // Backward merge of the sorted, run-length-counted inserts into the
-        // tail-extended table. Inserts are disjoint from `ids`: a label is
-        // only inserted when the table does not hold it.
-        self.inserts.sort_unstable();
-        let distinct = 1 + self.inserts.windows(2).filter(|p| p[0] != p[1]).count();
-        let (mut i, mut j) = (self.ids.len(), self.inserts.len());
-        let mut w = i + distinct;
-        self.ids.resize(w, 0);
-        self.count.resize(w, 0);
-        while j > 0 {
-            let c = self.inserts[j - 1];
-            let run = self.inserts[..j].iter().rev().take_while(|&&x| x == c).count();
-            while i > 0 && self.ids[i - 1] > c {
-                w -= 1;
-                i -= 1;
-                self.ids[w] = self.ids[i];
-                self.count[w] = self.count[i];
+        let mut cursor = offsets.clone();
+        let mut copies = vec![(0, 0); offsets[n] as usize];
+        for t in 0..sharded.num_shards() {
+            for (l, &v) in ghosts_of(t) {
+                copies[cursor[v as usize] as usize] = (t as u32, l as u32);
+                cursor[v as usize] += 1;
             }
-            w -= 1;
-            self.ids[w] = c;
-            self.count[w] = run as u32;
-            j -= run;
         }
-        self.inserts.clear();
+        Self { offsets, copies }
     }
-}
 
-/// Sorted distinct labels and their multiplicities — the reference a
-/// [`CommTable`] must equal after every wave.
-fn resident_table(labels: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut sorted = labels.to_vec();
-    sorted.sort_unstable();
-    let (mut ids, mut count) = (Vec::new(), Vec::<u32>::new());
-    for c in sorted {
-        if ids.last() == Some(&c) {
-            *count.last_mut().expect("aligned with ids") += 1;
-        } else {
-            ids.push(c);
-            count.push(1);
-        }
+    fn of(&self, v: u32) -> &[(u32, u32)] {
+        &self.copies[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
-    (ids, count)
 }
 
 /// Shard devices plus the failover bookkeeping shared by every pass.
@@ -440,14 +366,15 @@ const SUBPHASES: usize = 8;
 ///
 /// Each superstep sweeps the degree buckets **in sequence**, each bucket
 /// split into [`SUBPHASES`] vertex-id-residue waves, committing the labels
-/// and re-folding the community aggregates between waves (one halo exchange
-/// per non-empty wave). Fully synchronous updates — every vertex deciding
-/// against the same frozen state — oscillate and converge to visibly worse
-/// labelings (the paper's `Relaxed` ablation); bucket-phased commits replay
-/// the single-device path's per-bucket update semantics, and the residue
-/// waves break the swap cycles that survive even per-bucket commits. A
-/// vertex's subphase is a function of its degree and global id — global
-/// properties — so phasing preserves bit-identity across shard counts.
+/// and re-folding the touched communities' aggregates between waves (one
+/// halo exchange per non-empty wave). Fully synchronous updates — every
+/// vertex deciding against the same frozen state — oscillate and converge
+/// to visibly worse labelings (the paper's `Relaxed` ablation);
+/// bucket-phased commits replay the single-device path's per-bucket update
+/// semantics, and the residue waves break the swap cycles that survive even
+/// per-bucket commits. A vertex's subphase is a function of its degree and
+/// global id — global properties — so phasing preserves bit-identity
+/// across shard counts.
 fn sharded_level(
     g: &Csr,
     mut sharded: ShardedCsr,
@@ -492,9 +419,6 @@ fn sharded_level(
     // owned exactly once (degree-0 vertices are counted directly).
     let mut owned_times = vec![0u32; n];
     for (s, shard) in sharded.shards.iter().enumerate() {
-        // routes[s][t] is ascending and owned by s, so one cursor per target
-        // shard pairs every owned vertex with its ghost copies in O(k) each.
-        let mut cursor = vec![0usize; k];
         for (&v, &l) in shard.owned.iter().zip(&shard.owned_locals) {
             owned_times[v as usize] += 1;
             let d = shard_graphs[s].degree(l as usize);
@@ -505,36 +429,22 @@ fn sharded_level(
             slice.locals.push(l);
             slice.globals.push(v);
             slice.k.push(weighted_degree[v as usize]);
-            for (t, route) in sharded.routes[s].iter().enumerate() {
-                if route.get(cursor[t]) == Some(&v) {
-                    cursor[t] += 1;
-                    let lt = sharded.shards[t].local_of(v).expect("routed vertex must be resident");
-                    slice.ghost_dsts.push((t as u32, lt));
-                }
-            }
-            slice.ghost_off.push(slice.ghost_dsts.len() as u32);
         }
-        debug_assert!(
-            cursor.iter().zip(&sharded.routes[s]).all(|(&c, route)| c == route.len()),
-            "shard {s}: a routed vertex has no phase slot"
-        );
     }
     telemetry.ownership_violations += owned_times.iter().filter(|&&c| c != 1).count();
+    let ghosts = GhostCopies::new(&sharded);
 
-    // Canonical labeling (host), the per-shard resident copies — the
-    // literal halo-exchanged state — and their community tables.
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut local_labels: Vec<Vec<u32>> = sharded.shards.iter().map(|s| s.locals.clone()).collect();
-    let mut tables: Vec<CommTable> =
-        sharded.shards.iter().map(|s| CommTable::singletons(&s.locals)).collect();
+    // Canonical labeling, member lists and folded aggregates (host), and
+    // the per-shard resident copies — the literal halo-exchanged state —
+    // with their slot-indexed community tables.
+    let mut comms =
+        Communities::singletons(weighted_degree, sharded.shards.iter().map(|s| &s.locals[..]));
     // This wave's committed moves as (shard, phase-slice index, new label),
     // in gather order.
     let mut wave_moves: Vec<(usize, usize, u32)> = Vec::new();
 
-    let mut vol = vec![0.0f64; n];
-    let mut size = vec![0u32; n];
-    let mut best = labels.clone();
-    let mut best_q = modularity(g, &Partition::from_vec(labels.clone()));
+    let mut best = comms.labels().to_vec();
+    let mut best_q = modularity_of_labels(g, &best);
     let mut stalled = 0usize;
     let first_level = telemetry.sharded_levels == 0;
     // Same stop rule as the single-device phase: a superstep whose realized
@@ -557,16 +467,6 @@ fn sharded_level(
             if phase.iter().all(|p| p.locals.is_empty()) {
                 continue;
             }
-            // Canonical community fold, ascending vertex id: identical
-            // across shard counts and thread counts (the determinism
-            // anchor — shard-order f64 folding would depend on K).
-            vol.iter_mut().for_each(|x| *x = 0.0);
-            size.iter_mut().for_each(|x| *x = 0);
-            for v in 0..n {
-                vol[labels[v] as usize] += weighted_degree[v];
-                size[labels[v] as usize] += 1;
-            }
-
             // Shard passes in fixed shard order, each on its own device
             // through the retry/failover ladder. Every pass reads the
             // wave's frozen state, so moves are only collected here (in
@@ -577,22 +477,10 @@ fn sharded_level(
                 if slice.locals.is_empty() {
                     continue;
                 }
-                let table = &tables[s];
-                let comm_vol: Vec<f64> = table.ids.iter().map(|&c| vol[c as usize]).collect();
-                let comm_size: Vec<u32> = table.ids.iter().map(|&c| size[c as usize]).collect();
-                let view = HaloView {
-                    graph: &shard_graphs[s],
-                    owned: &slice.locals,
-                    k: &slice.k,
-                    labels: &local_labels[s],
-                    comm_ids: &table.ids,
-                    comm_vol: &comm_vol,
-                    comm_size: &comm_size,
-                    two_m,
-                };
+                let view = comms.halo_view(s, &shard_graphs[s], &slice.locals, &slice.k, two_m);
                 let props = pass_with_recovery(&view, cfg, exec, s, superstep)?;
                 for (i, (&v, &p)) in slice.globals.iter().zip(&props).enumerate() {
-                    if p != labels[v as usize] {
+                    if p != comms.labels()[v as usize] {
                         wave_moves.push((s, i, p));
                     }
                 }
@@ -602,31 +490,22 @@ fn sharded_level(
             // Halo exchange of the changed labels only: the owner refreshes
             // its resident copy, then the label goes to every ghost copy of
             // the vertex. Ownership is exclusive (audited above) and each
-            // vertex has at most one copy per shard, so every resident slot
+            // vertex has at most one copy per shard, so every resident copy
             // is written at most once per wave and the final state does not
-            // depend on the delivery order.
+            // depend on the delivery order. Then only the touched
+            // communities are re-folded.
             for &(s, i, p) in &wave_moves {
-                let slice = &phase[s];
-                labels[slice.globals[i] as usize] = p;
-                let mut write = |t: usize, l: usize| {
-                    let old = std::mem::replace(&mut local_labels[t][l], p);
-                    tables[t].relabel(old, p);
-                };
-                write(s, slice.locals[i] as usize);
-                for &(t, lt) in slice.ghosts_of(i) {
-                    write(t as usize, lt as usize);
+                let v = phase[s].globals[i];
+                comms.move_vertex(v, p);
+                comms.move_copy(s, phase[s].locals[i], p);
+                for &(t, l) in ghosts.of(v) {
+                    comms.move_copy(t as usize, l, p);
                     telemetry.ghost_updates += 1;
                     telemetry.ghost_bytes += 8; // (vertex id, label)
                 }
             }
-            tables.iter_mut().for_each(CommTable::settle);
-            debug_assert!(
-                tables.iter().zip(&local_labels).all(|(table, resident)| {
-                    let (ids, count) = resident_table(resident);
-                    table.ids == ids && table.count == count
-                }),
-                "a community table diverged from its resident labels"
-            );
+            comms.refold();
+            debug_assert_eq!(comms.audit(), Ok(()));
             telemetry.exchange_rounds += 1;
         }
         if first_level && superstep == 0 {
@@ -636,8 +515,8 @@ fn sharded_level(
         // Exchange consistency: every resident copy must now agree with the
         // canonical labeling. A mismatch is a lost label.
         for (s, shard) in sharded.shards.iter().enumerate() {
-            for (l, &v) in shard.locals.iter().enumerate() {
-                if local_labels[s][l] != labels[v as usize] {
+            for (&copy, &v) in comms.resident_labels(s).iter().zip(&shard.locals) {
+                if copy != comms.labels()[v as usize] {
                     telemetry.lost_labels += 1;
                 }
             }
@@ -646,7 +525,7 @@ fn sharded_level(
         if moves == 0 {
             break;
         }
-        let q = modularity(g, &Partition::from_vec(labels.clone()));
+        let q = modularity_of_labels(g, comms.labels());
         if q > best_q + threshold {
             stalled = 0;
         } else {
@@ -654,7 +533,7 @@ fn sharded_level(
         }
         if q > best_q {
             best_q = q;
-            best = labels.clone();
+            best.copy_from_slice(comms.labels());
         }
         if stalled >= cfg.stall_patience {
             break; // gains are under threshold (or cycling); keep the best
@@ -802,33 +681,6 @@ mod tests {
         let mut cfg = DistConfig::k40m(num_shards);
         cfg.device.global_mem_bytes = mem;
         cfg
-    }
-
-    #[test]
-    fn comm_table_tracks_its_resident_labels() {
-        // Waves of random relabelings, each slot written at most once per
-        // wave, against the sort + dedup reference: labels leave, return,
-        // arrive several times in one wave, and empty out.
-        let mut resident: Vec<u32> = (0..64).map(|v| 2 * v).collect();
-        let mut table = CommTable::singletons(&resident);
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |m: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % m) as usize
-        };
-        for _ in 0..300 {
-            let mut unwritten: Vec<usize> = (0..resident.len()).collect();
-            for _ in 0..next(24) {
-                let slot = unwritten.swap_remove(next(unwritten.len() as u64));
-                let new = next(40) as u32;
-                let old = std::mem::replace(&mut resident[slot], new);
-                table.relabel(old, new);
-            }
-            table.settle();
-            assert_eq!((table.ids.clone(), table.count.clone()), resident_table(&resident));
-        }
     }
 
     #[test]

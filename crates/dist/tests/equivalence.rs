@@ -15,7 +15,7 @@ use cd_gpusim::{Device, Profile};
 use cd_graph::apply_delta;
 use cd_graph::gen::{rmat, RmatParams};
 use cd_workloads::{churn, load, Scale};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 #[test]
 fn sharded_quality_stays_inside_the_oracle_dispersion_band() {
@@ -59,8 +59,8 @@ fn sharded_quality_stays_inside_the_oracle_dispersion_band() {
 /// work: an R-MAT graph whose input level spans several degree buckets and
 /// runs several supersteps of non-empty waves. Shards ∈ {2, 4} × threads ∈
 /// {1, 8} must agree on labels, Q bits and exchange volume. In a debug build
-/// every wave also asserts that each shard's table equals the sorted
-/// distinct labels of its resident vertices.
+/// every wave also asserts that the maintained community volumes and sizes,
+/// and every shard's slot table, equal a full ascending-id fold.
 #[test]
 fn rmat_is_bit_identical_across_shards_and_threads() {
     let g = rmat(11, 8, RmatParams::GRAPH500, 3);
@@ -95,5 +95,46 @@ fn rmat_is_bit_identical_across_shards_and_threads() {
     }
     for o in &outs[1..] {
         assert_eq!(o, &outs[0]);
+    }
+}
+
+/// Bit-identity where f64 association matters: a churned graph whose
+/// inserts and reweights carry fractional weights (`0.5 + U`), so community
+/// volumes are inexact sums that only a fixed fold order reproduces. Every
+/// profile × shards ∈ {2, 4} × threads ∈ {1, 8} must agree on labels, Q bits
+/// and exchange rounds, and each shard count on its exchange volume. In a
+/// debug build every wave also audits the refolded volumes against a full
+/// ascending-id fold, bit for bit.
+#[test]
+fn fractional_weights_are_bit_identical_across_profiles_shards_and_threads() {
+    let base = load("com-dblp", Scale::Tiny).expect("suite workload").graph;
+    let (g, _) = apply_delta(&base, &churn(&base, 0xF1, 0.25)).expect("churn applies");
+    let arcs = g.num_arcs();
+    let fractional = (0..g.num_vertices() as u32)
+        .flat_map(|v| g.edge_weights(v).iter().copied())
+        .filter(|w| w.fract() != 0.0)
+        .count();
+    assert!(fractional * 10 > arcs, "only {fractional} of {arcs} arcs carry fractional weights");
+
+    let mem = estimated_device_bytes(&g) * 4 / 5;
+    let mut reference = None;
+    let mut volume: HashMap<usize, (usize, usize)> = HashMap::new();
+    for profile in [Profile::Instrumented, Profile::Racecheck, Profile::Parallel] {
+        for shards in [2usize, 4] {
+            for threads in [1usize, 8] {
+                let mut cfg = DistConfig::k40m(shards);
+                cfg.device = cfg.device.with_profile(profile).with_threads(threads);
+                cfg.device.global_mem_bytes = mem;
+                let r = louvain_sharded(&g, &cfg).expect("sharded run");
+                let t = &r.telemetry;
+                assert_eq!((t.lost_labels, t.ownership_violations), (0, 0));
+                assert!(t.sharded_levels >= 1 && t.exchange_rounds > 0);
+                let answer = (r.partition.into_vec(), r.modularity.to_bits(), t.exchange_rounds);
+                let want = reference.get_or_insert_with(|| answer.clone());
+                assert_eq!(&answer, want, "{profile:?}, {shards} shards, {threads} threads");
+                let exchanged = (t.ghost_updates, t.ghost_bytes);
+                assert_eq!(*volume.entry(shards).or_insert(exchanged), exchanged);
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ pub use csr::{Csr, VertexId, Weight};
 pub use delta::{
     apply_delta, AppliedDelta, DeltaBatch, DeltaBuilder, DeltaError, DeltaOp, VersionedCsr,
 };
-pub use modularity::{community_aggregates, modularity, modularity_gain};
+pub use modularity::{community_aggregates, modularity, modularity_gain, modularity_of_labels};
 pub use partition::{Dendrogram, Partition};
 pub use shard::{
     bfs_owners, bfs_owners_lazy, contiguous_owners, edge_cut_members, edge_cut_owners, shard_stats,

@@ -1,8 +1,12 @@
 //! Modularity (Newman-Girvan) and modularity gain — the paper's Eq. 1 and
-//! Eq. 2 — as straightforward sequential reference implementations.
+//! Eq. 2 — as sequential reference implementations.
 //!
 //! These are the ground truth the GPU kernels and all baselines are tested
-//! against.
+//! against. [`modularity`] accumulates into dense per-community arrays in a
+//! fixed order, so it is bitwise deterministic and cheap enough for the
+//! drivers to call on every stage and every sharded superstep;
+//! [`community_aggregates`] and [`modularity_gain`] stay keyed by
+//! `HashMap` — they are reference helpers, not hot paths.
 
 use crate::csr::{Csr, VertexId, Weight};
 use crate::partition::Partition;
@@ -45,20 +49,61 @@ pub fn community_aggregates(g: &Csr, p: &Partition) -> CommunityAggregates {
 /// Returns 0 for an edgeless graph (the usual convention; Q is otherwise
 /// undefined when `m = 0`).
 pub fn modularity(g: &Csr, p: &Partition) -> f64 {
+    modularity_of_labels(g, p.as_slice())
+}
+
+/// [`modularity`] of a bare label slice: `labels[v]` is the community of
+/// vertex `v`. Callers that keep their labeling in a `Vec` need no
+/// [`Partition`] (and no copy) to score it.
+///
+/// The accumulators are dense arrays indexed by community id, filled in a
+/// fixed order — `a_c` by ascending vertex, `in_c` by ascending vertex then
+/// arc order — and summed by ascending community id, so the result is
+/// bitwise deterministic (f64 addition is not associative). Label ids far
+/// above the vertex count are first compressed, order-preserving, to dense
+/// ranks, which leaves the summation order unchanged.
+pub fn modularity_of_labels(g: &Csr, labels: &[VertexId]) -> f64 {
     let two_m = g.total_weight_2m();
     if two_m == 0.0 {
         return 0.0;
     }
-    let agg = community_aggregates(g, p);
-    // Sum in community-id order so the result is bitwise deterministic (f64
-    // addition is not associative; hash-map order varies between runs).
-    let mut ids: Vec<VertexId> = agg.a.keys().copied().collect();
-    ids.sort_unstable();
+    let n = g.num_vertices();
+    assert_eq!(n, labels.len(), "partition/vertex count mismatch");
+    let max = labels.iter().copied().max().map_or(0, |c| c as usize);
+    let ranks: Vec<VertexId>;
+    let (ids, len) = if max < 2 * n {
+        (labels, max + 1)
+    } else {
+        let mut distinct = labels.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        ranks = labels
+            .iter()
+            .map(|c| distinct.binary_search(c).expect("every label is in its own set") as VertexId)
+            .collect();
+        (&ranks[..], distinct.len())
+    };
+    let mut a = vec![0.0; len];
+    let mut inside = vec![0.0; len];
+    let mut present = vec![false; len];
+    for u in 0..n as VertexId {
+        let cu = ids[u as usize];
+        let c = cu as usize;
+        present[c] = true;
+        // k_u summed in the row's own pass, in `Csr::weighted_degree`'s
+        // order.
+        let mut k_u = 0.0;
+        for (v, w) in g.edges(u) {
+            k_u += w;
+            if ids[v as usize] == cu {
+                inside[c] += w;
+            }
+        }
+        a[c] += k_u;
+    }
     let mut q = 0.0;
-    for c in ids {
-        let a_c = agg.a[&c];
-        let in_c = agg.inside.get(&c).copied().unwrap_or(0.0);
-        q += in_c / two_m - (a_c / two_m) * (a_c / two_m);
+    for c in (0..len).filter(|&c| present[c]) {
+        q += inside[c] / two_m - (a[c] / two_m) * (a[c] / two_m);
     }
     q
 }

@@ -295,7 +295,12 @@ impl ShardedCsr {
     }
 
     /// Splits `g` along a caller-provided owner assignment.
+    ///
+    /// One dense global→local array, reused across shards, serves both the
+    /// ghost deduplication and the row remapping, so the build costs
+    /// O(arcs + ghosts · log ghosts) rather than a binary search per arc.
     pub fn from_owners(g: &Csr, owner: Vec<u32>, stats: ShardStats) -> Self {
+        const ABSENT: u32 = u32::MAX;
         let n = g.num_vertices();
         let k = stats.num_shards;
         debug_assert_eq!(owner.len(), n);
@@ -303,24 +308,37 @@ impl ShardedCsr {
         for (v, &o) in owner.iter().enumerate() {
             owned[o as usize].push(v as VertexId);
         }
+        // `local[v]` is v's local id on the shard being built (any non-ABSENT
+        // value marks a ghost already collected); reset after each shard.
+        let mut local = vec![ABSENT; n];
         let mut shards = Vec::with_capacity(k);
         for (s, owned_s) in owned.into_iter().enumerate() {
             // Ghosts: cut-edge endpoints of owned vertices, deduplicated.
-            let mut ghosts: Vec<VertexId> = owned_s
-                .iter()
-                .flat_map(|&v| g.neighbors(v).iter().copied())
-                .filter(|&u| owner[u as usize] != s as u32)
-                .collect();
+            let mut ghosts: Vec<VertexId> = Vec::new();
+            for &v in &owned_s {
+                for &u in g.neighbors(v) {
+                    if owner[u as usize] != s as u32 && local[u as usize] == ABSENT {
+                        local[u as usize] = 0;
+                        ghosts.push(u);
+                    }
+                }
+            }
             ghosts.sort_unstable();
-            ghosts.dedup();
-            // Merge two sorted, disjoint lists into the local id space.
+            // Merge the two sorted, disjoint lists into the local id space.
             let mut locals = Vec::with_capacity(owned_s.len() + ghosts.len());
-            locals.extend_from_slice(&owned_s);
-            locals.extend_from_slice(&ghosts);
-            locals.sort_unstable();
-            let local_of = |global: VertexId| -> u32 {
-                locals.binary_search(&global).expect("neighbor must be local") as u32
-            };
+            let (mut i, mut j) = (0, 0);
+            while i < owned_s.len() || j < ghosts.len() {
+                if j == ghosts.len() || (i < owned_s.len() && owned_s[i] < ghosts[j]) {
+                    locals.push(owned_s[i]);
+                    i += 1;
+                } else {
+                    locals.push(ghosts[j]);
+                    j += 1;
+                }
+            }
+            for (l, &gv) in locals.iter().enumerate() {
+                local[gv as usize] = l as u32;
+            }
             let mut offsets = Vec::with_capacity(locals.len() + 1);
             let mut targets = Vec::new();
             let mut weights = Vec::new();
@@ -328,13 +346,16 @@ impl ShardedCsr {
             for &gv in &locals {
                 if owner[gv as usize] == s as u32 {
                     for (u, w) in g.edges(gv) {
-                        targets.push(local_of(u));
+                        targets.push(local[u as usize]);
                         weights.push(w);
                     }
                 }
                 offsets.push(targets.len());
             }
-            let owned_locals = owned_s.iter().map(|&v| local_of(v)).collect::<Vec<_>>();
+            let owned_locals = owned_s.iter().map(|&v| local[v as usize]).collect::<Vec<_>>();
+            for &gv in &locals {
+                local[gv as usize] = ABSENT;
+            }
             shards.push(Shard {
                 owned: owned_s,
                 owned_locals,
@@ -393,23 +414,27 @@ impl ShardedCsr {
         if let Some(v) = seen.iter().position(|&s| !s) {
             return Err(format!("vertex {v} owned by no shard"));
         }
-        // Every cut edge's remote endpoint must be a ghost of the owner's
-        // shard, and every ghost must be justified by at least one cut edge.
-        for v in 0..n as VertexId {
-            let s = self.owner[v as usize] as usize;
-            for &u in g.neighbors(v) {
-                if self.owner[u as usize] != s as u32 && self.shards[s].local_of(u).is_none() {
-                    return Err(format!("cut edge {v}->{u}: {u} is not a ghost of shard {s}"));
-                }
-            }
-        }
-        // One marking pass over each shard's owned rows: `mark[u] == t + 1`
-        // iff some vertex shard t owns is adjacent to u. O(arcs) in total.
+        // Per shard t, against a dense residency map of its own: every cut
+        // edge of t's rows must end at a ghost of t; one marking pass over
+        // those rows (`mark[u] == t + 1` iff some vertex t owns is adjacent
+        // to u) must justify every ghost of t; and every route into t must
+        // come from the vertex's owner and land on a resident copy. Each
+        // vertex is owned exactly once (checked above), so the rows cover
+        // every vertex once: O(arcs + residents) in total.
+        let mut resident = vec![0u32; n];
         let mut mark = vec![0u32; n];
         for (t, shard) in self.shards.iter().enumerate() {
             let stamp = t as u32 + 1;
+            for &gv in &shard.locals {
+                if let Some(r) = resident.get_mut(gv as usize) {
+                    *r = stamp;
+                }
+            }
             for &v in &shard.owned {
                 for &u in g.neighbors(v) {
+                    if self.owner[u as usize] != t as u32 && resident[u as usize] != stamp {
+                        return Err(format!("cut edge {v}->{u}: {u} is not a ghost of shard {t}"));
+                    }
                     mark[u as usize] = stamp;
                 }
             }
@@ -418,15 +443,12 @@ impl ShardedCsr {
                     return Err(format!("ghost {gv} on shard {t} has no cut edge"));
                 }
             }
-        }
-        // Routing table ↔ ghost tables.
-        for (s, per_target) in self.routes.iter().enumerate() {
-            for (t, route) in per_target.iter().enumerate() {
-                for &gv in route {
+            for (s, per_target) in self.routes.iter().enumerate() {
+                for &gv in per_target.get(t).into_iter().flatten() {
                     if self.owner[gv as usize] != s as u32 {
                         return Err(format!("route {s}->{t} carries {gv} not owned by {s}"));
                     }
-                    if self.shards[t].local_of(gv).is_none() {
+                    if resident[gv as usize] != stamp {
                         return Err(format!("route {s}->{t} carries {gv} not resident on {t}"));
                     }
                 }
