@@ -38,6 +38,7 @@ pub mod louvain;
 pub mod modopt;
 pub mod multi_gpu;
 pub mod primes;
+pub mod recovery;
 pub mod refine;
 pub mod schedule;
 
@@ -57,6 +58,7 @@ pub use louvain::{
     GpuLouvainResult, GpuStageStats, StageAbort, StageCheckpoint,
 };
 pub use modopt::{modularity_optimization, modularity_optimization_seeded, OptOutcome, WarmSeed};
-pub use multi_gpu::{louvain_multi_gpu, MultiGpuConfig, MultiGpuResult, RecoveryAction};
+pub use multi_gpu::{louvain_multi_gpu, MultiGpuConfig, MultiGpuResult};
+pub use recovery::{retry_transient, DeviceFleet, RecoveryAction};
 pub use refine::refine_communities;
 pub use schedule::{ThresholdSchedule, WidthSchedule};

@@ -10,6 +10,7 @@ use crate::dev_graph::DeviceGraph;
 use crate::modopt::{
     modularity_optimization, modularity_optimization_seeded, OptOutcome, WarmSeed,
 };
+use crate::recovery::retry_transient;
 use crate::schedule::ThresholdSchedule;
 use cd_gpusim::{Device, GlobalF64, GlobalU32, LaunchError};
 use cd_graph::{modularity, Csr, Dendrogram, Partition};
@@ -678,13 +679,14 @@ struct StageRun {
     refine_delta_q: f64,
 }
 
-/// Runs one stage under the configured retry policy. Each stage is a
-/// checkpoint: its input graph is host-resident and immutable, so a failed
-/// attempt (injected launch fault, or corruption caught by a validation
-/// check) is simply re-run after an exponential backoff — a rerun consumes
-/// fresh fault-decision sequence numbers, so it sees an independent fault
-/// draw. Transient errors exhaust the budget into
-/// [`GpuLouvainError::StageFailed`]; permanent errors propagate immediately.
+/// Runs one stage under the configured retry policy
+/// ([`crate::recovery::retry_transient`]). Each stage is a checkpoint: its
+/// input graph is host-resident and immutable, so a failed attempt (injected
+/// launch fault, or corruption caught by a validation check) is simply re-run
+/// after an exponential backoff — a rerun consumes fresh fault-decision
+/// sequence numbers, so it sees an independent fault draw. Transient errors
+/// exhaust the budget into [`GpuLouvainError::StageFailed`]; permanent errors
+/// propagate immediately.
 fn run_stage_with_retry(
     dev: &Device,
     g: &DeviceGraph,
@@ -694,31 +696,15 @@ fn run_stage_with_retry(
     seed: Option<&WarmSeed<'_>>,
     refine: bool,
 ) -> Result<StageRun, GpuLouvainError> {
-    let policy = cfg.retry;
-    let mut attempt = 0usize;
-    loop {
-        attempt += 1;
-        match run_stage(dev, g, cfg, threshold, seed, refine) {
-            Ok(run) => {
-                if attempt > 1 {
-                    dev.note_fault_recovered();
-                }
-                return Ok(run);
+    retry_transient(dev, &cfg.retry, || run_stage(dev, g, cfg, threshold, seed, refine)).map_err(
+        |(cause, attempts)| {
+            if cause.is_transient() {
+                GpuLouvainError::StageFailed { stage: stage_idx, attempts, cause: Box::new(cause) }
+            } else {
+                cause
             }
-            Err(e) if e.is_transient() => {
-                dev.note_fault_detected();
-                if attempt >= policy.max_attempts {
-                    return Err(GpuLouvainError::StageFailed {
-                        stage: stage_idx,
-                        attempts: attempt,
-                        cause: Box::new(e),
-                    });
-                }
-                std::thread::sleep(policy.backoff_for(attempt));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+        },
+    )
 }
 
 /// One stage attempt: optimize, validate, aggregate, validate. On a

@@ -19,21 +19,24 @@
 //!
 //! # Fault tolerance
 //!
-//! Devices carry per-device fault schedules (the plan seed is salted with the
-//! device index, so devices fail independently). When a device exhausts its
-//! in-driver retries, its block *fails over* to the next healthy device; when
-//! every device is down — or the failed device was the last one — the block
-//! degrades gracefully to the host's sequential Louvain baseline. Every such
-//! action is reported in [`MultiGpuResult::recovery`], and the fault counts
-//! of all devices are merged into [`MultiGpuResult::faults`].
+//! The devices form one [`DeviceFleet`], whose fault-plan seeds are salted
+//! with the device index so devices fail independently. Each block, and
+//! then the refinement, runs on the fleet's recovery ladder
+//! ([`crate::recovery`]): its home device with in-driver stage retries, then
+//! the next healthy device, then — when every device is down — the host's
+//! sequential Louvain baseline. Every such action is reported in
+//! [`MultiGpuResult::recovery`], and the fault counts of all devices are
+//! merged into [`MultiGpuResult::faults`].
 
 use crate::config::{GpuLouvainConfig, RetryPolicy};
 use crate::louvain::{louvain_gpu, GpuLouvainError};
+use crate::recovery::{DeviceFleet, RecoveryAction};
 use cd_baselines::{louvain_sequential, SequentialConfig};
-use cd_gpusim::{Device, DeviceConfig, FaultStats};
+use cd_gpusim::{DeviceConfig, FaultStats};
 use cd_graph::{
     contract, edge_cut_members, induced_subgraph, modularity, Csr, Partition, VertexId,
 };
+use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 /// Configuration of a multi-device run.
@@ -69,33 +72,6 @@ impl MultiGpuConfig {
         self.gpu.retry = retry;
         self
     }
-}
-
-/// One recovery action the multi-device driver took, in the order taken.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// A device recovered from faults by in-driver stage retries while
-    /// computing its work item.
-    LocalRetry {
-        /// Index of the device that retried.
-        device: usize,
-        /// Stage-retry recoveries it performed on this work item.
-        recoveries: u64,
-    },
-    /// A work item was reassigned from a failed device to a healthy one.
-    Failover {
-        /// The work item ("block 3", "refine").
-        scope: String,
-        /// The device that failed (marked unhealthy).
-        from_device: usize,
-        /// The device the work moved to.
-        to_device: usize,
-    },
-    /// A work item fell back to the host's sequential Louvain baseline.
-    SequentialFallback {
-        /// The work item ("block 3", "refine").
-        scope: String,
-    },
 }
 
 /// Result of a multi-device run.
@@ -149,22 +125,9 @@ pub fn louvain_multi_gpu(
         });
     }
 
-    // One simulated device per block, plus one for refinement. Salting the
-    // fault seed with the device index gives every device an independent
-    // (but still reproducible) fault schedule.
+    // One simulated device per block, plus one for refinement.
     let num_blocks = cfg.num_devices.max(1).min(n);
-    let devices: Vec<Device> = (0..=num_blocks)
-        .map(|i| {
-            let mut dc = cfg.device.clone();
-            dc.fault_plan.seed =
-                dc.fault_plan.seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            // A rejected configuration (e.g. fault injection on the
-            // Parallel profile) is a typed, permanent error — not a panic.
-            Device::try_new(dc).map_err(GpuLouvainError::Config)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut healthy = vec![true; devices.len()];
-    let mut recovery: Vec<RecoveryAction> = Vec::new();
+    let mut fleet = DeviceFleet::new(&cfg.device, num_blocks + 1)?;
 
     // ---- phase 1: local clustering per device -----------------------------
     // The edge-cut partitioner keeps the historical contiguous split unless
@@ -181,16 +144,7 @@ pub fn louvain_multi_gpu(
             continue;
         }
         let sub = induced_subgraph(graph, members);
-        let scope = format!("block {bi}");
-        let local = cluster_with_recovery(
-            &devices,
-            &mut healthy,
-            bi,
-            &sub.graph,
-            cfg,
-            &scope,
-            &mut recovery,
-        )?;
+        let local = cluster(&mut fleet, bi, format_args!("block {bi}"), &sub.graph, cfg)?;
         cut_weight += sub.cut_weight;
         local_modularities.push(local.modularity);
         local_results.push((sub.members, local));
@@ -215,27 +169,14 @@ pub fn louvain_multi_gpu(
 
     // ---- phase 3: contract the full graph and refine on one device --------
     let (merged, merged_map) = contract(graph, &global);
-    let refine_home = devices.len() - 1;
-    let refined = cluster_with_recovery(
-        &devices,
-        &mut healthy,
-        refine_home,
-        &merged,
-        cfg,
-        "refine",
-        &mut recovery,
-    )?;
+    let refined = cluster(&mut fleet, num_blocks, "refine", &merged, cfg)?;
     let merge_time = merge_start.elapsed();
 
     // ---- compose the final partition ---------------------------------------
     let partition = merged_map.compose(&refined.partition);
     let q = modularity(graph, &partition);
 
-    let mut faults = FaultStats::default();
-    for dev in &devices {
-        faults.merge(&dev.fault_stats());
-    }
-
+    let faults = fleet.fault_stats();
     Ok(MultiGpuResult {
         partition,
         modularity: q,
@@ -244,82 +185,38 @@ pub fn louvain_multi_gpu(
         merged_vertices: merged.num_vertices(),
         local_time,
         merge_time,
-        recovery,
+        recovery: fleet.into_log(),
         faults,
     })
 }
 
-/// Clusters one work item with the failover ladder: the home device first,
-/// then every other still-healthy device in index order, then (when enabled)
-/// the sequential host baseline. A device that fails with a recoverable
-/// error is marked unhealthy for the rest of the run; permanent errors
-/// (out of memory, too many vertices) propagate immediately since no
-/// identical device can do better.
-fn cluster_with_recovery(
-    devices: &[Device],
-    healthy: &mut [bool],
+/// Clusters one work item on the fleet's recovery ladder, with the host's
+/// sequential Louvain baseline as the last resort when enabled.
+fn cluster(
+    fleet: &mut DeviceFleet,
     home: usize,
+    scope: impl Display,
     graph: &Csr,
     cfg: &MultiGpuConfig,
-    scope: &str,
-    recovery: &mut Vec<RecoveryAction>,
 ) -> Result<LocalOutcome, GpuLouvainError> {
-    let d = devices.len();
-    let mut last_err: Option<GpuLouvainError> = None;
-    let mut failed_from: Option<usize> = None;
-    for step in 0..d {
-        let di = (home + step) % d;
-        if !healthy[di] {
-            continue;
-        }
-        if let Some(from) = failed_from {
-            recovery.push(RecoveryAction::Failover {
-                scope: scope.to_string(),
-                from_device: from,
-                to_device: di,
-            });
-        }
-        let recovered_before = devices[di].fault_stats().recovered;
-        match louvain_gpu(&devices[di], graph, &cfg.gpu) {
-            Ok(res) => {
-                let recoveries = devices[di].fault_stats().recovered - recovered_before;
-                if recoveries > 0 {
-                    recovery.push(RecoveryAction::LocalRetry { device: di, recoveries });
-                }
-                if failed_from.is_some() {
-                    devices[di].note_fault_recovered();
-                }
-                return Ok(LocalOutcome { partition: res.partition, modularity: res.modularity });
-            }
-            Err(e) if recoverable(&e) => {
-                healthy[di] = false;
-                failed_from = Some(di);
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if cfg.sequential_fallback {
-        recovery.push(RecoveryAction::SequentialFallback { scope: scope.to_string() });
-        let seq = louvain_sequential(graph, &SequentialConfig::original());
-        return Ok(LocalOutcome { partition: seq.partition, modularity: seq.modularity });
-    }
-    Err(last_err.unwrap_or(GpuLouvainError::InvariantViolation {
-        stage: "multi-gpu",
-        detail: format!("no healthy device for {scope} and sequential fallback is disabled"),
-    }))
-}
-
-/// True when reassigning the work to another (identical) device can help:
-/// the error is transient, or a stage exhausted its retry budget on this
-/// device's fault schedule.
-fn recoverable(e: &GpuLouvainError) -> bool {
-    e.is_device_attributable()
+    fleet.run(
+        home,
+        scope,
+        |dev| {
+            let res = louvain_gpu(dev, graph, &cfg.gpu)?;
+            Ok(LocalOutcome { partition: res.partition, modularity: res.modularity })
+        },
+        cfg.sequential_fallback.then_some(|| {
+            let seq = louvain_sequential(graph, &SequentialConfig::original());
+            LocalOutcome { partition: seq.partition, modularity: seq.modularity }
+        }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cd_gpusim::Device;
     use cd_graph::gen::{cliques, planted_partition};
 
     #[test]

@@ -53,23 +53,25 @@
 //!
 //! ## Fault tolerance
 //!
-//! Per-shard passes thread the same typed-error/retry/failover stack as the
-//! multi-device path: in-driver retries with exponential backoff on
-//! device-attributable errors, failover to the next healthy device, and —
-//! when every device is down — a sequential host fallback
-//! ([`cd_core::halo_move_host`]) that replays the kernel's exact observation
+//! The shard devices form one [`cd_core::DeviceFleet`], and every shard pass
+//! and the single-device finish run on its recovery ladder
+//! ([`cd_core::recovery`]): in-driver retries with exponential backoff on
+//! the home device, failover to the next healthy device, and — when every
+//! device is down — the host. A pass then runs the sequential replica
+//! [`cd_core::halo_move_host`], which replays the kernel's exact observation
 //! structure, so even the degraded path changes *where* the pass runs, not
-//! what it returns.
+//! what it returns; the finish runs the sequential Louvain baseline. Pass
+//! retries count in the merged [`DistTelemetry::faults`] like stage retries.
 
 #![warn(missing_docs)]
 
 use cd_baselines::{louvain_sequential, SequentialConfig};
 use cd_core::{
-    estimated_device_bytes, halo_move_host, halo_move_pass, louvain_gpu, DeviceGraph,
-    GpuLouvainConfig, GpuLouvainError, HaloView, RecoveryAction, RetryPolicy, ThresholdSchedule,
-    WidthSchedule, MODOPT_BUCKETS,
+    estimated_device_bytes, halo_move_host, halo_move_pass, louvain_gpu, retry_transient,
+    DeviceFleet, DeviceGraph, GpuLouvainConfig, GpuLouvainError, RecoveryAction, RetryPolicy,
+    ThresholdSchedule, WidthSchedule, MODOPT_BUCKETS,
 };
-use cd_gpusim::{Device, DeviceConfig, FaultStats};
+use cd_gpusim::{DeviceConfig, FaultStats};
 use cd_graph::{
     contract, modularity, modularity_of_labels, Csr, Dendrogram, Partition, ShardedCsr,
 };
@@ -211,20 +213,7 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
     }
 
     let num_shards = cfg.num_shards.clamp(1, n);
-    let devices: Vec<Device> = (0..num_shards)
-        .map(|i| {
-            let mut dc = cfg.device.clone();
-            dc.fault_plan.seed =
-                dc.fault_plan.seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            Device::try_new(dc).map_err(GpuLouvainError::Config)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut exec = ShardExec {
-        devices,
-        healthy: vec![true; num_shards],
-        recovery: Vec::new(),
-        degraded: false,
-    };
+    let mut fleet = DeviceFleet::new(&cfg.device, num_shards)?;
 
     let mut dendrogram = Dendrogram::new();
     let mut owned_graph: Option<Csr> = None;
@@ -237,7 +226,15 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
         // single-device path (still deterministic: its input is the
         // bit-identical coarse graph). The input level always shards.
         if telemetry.levels > 0 && fits_single_device(g, &cfg.device) {
-            let res = finish_with_recovery(g, cfg, &mut exec)?;
+            // The finish starts from device 0 and ends, with every device
+            // down, in the sequential Louvain baseline.
+            let res = fleet.run(
+                0,
+                "finish",
+                |dev| Ok(louvain_gpu(dev, g, &cfg.gpu)?.partition),
+                cfg.sequential_fallback
+                    .then_some(|| louvain_sequential(g, &SequentialConfig::original()).partition),
+            )?;
             dendrogram.push_level(res);
             telemetry.levels += 1;
             break;
@@ -263,7 +260,7 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
                 });
             }
         }
-        let labels = sharded_level(g, sharded, cfg, &mut exec, &mut telemetry)?;
+        let labels = sharded_level(g, sharded, cfg, &mut fleet, &mut telemetry)?;
         let (level, communities) = Partition::from_vec(labels).renumbered();
         telemetry.levels += 1;
         telemetry.sharded_levels += 1;
@@ -279,11 +276,9 @@ pub fn louvain_sharded(graph: &Csr, cfg: &DistConfig) -> Result<DistResult, GpuL
 
     let partition = dendrogram.flatten();
     let q = modularity(graph, &partition);
-    for dev in &exec.devices {
-        telemetry.faults.merge(&dev.fault_stats());
-    }
-    telemetry.recovery = exec.recovery;
-    telemetry.degraded = exec.degraded;
+    telemetry.faults = fleet.fault_stats();
+    telemetry.degraded = fleet.degraded();
+    telemetry.recovery = fleet.into_log();
     Ok(DistResult { partition, modularity: q, telemetry, total_time: start.elapsed() })
 }
 
@@ -339,14 +334,6 @@ impl GhostCopies {
     }
 }
 
-/// Shard devices plus the failover bookkeeping shared by every pass.
-struct ShardExec {
-    devices: Vec<Device>,
-    healthy: Vec<bool>,
-    recovery: Vec<RecoveryAction>,
-    degraded: bool,
-}
-
 /// Id-residue subphases per degree bucket. Fully synchronous commits let
 /// adjacent vertices swap communities in endless two-cycles; committing the
 /// bucket in id-residue waves makes later waves re-evaluate against the
@@ -379,7 +366,7 @@ fn sharded_level(
     g: &Csr,
     mut sharded: ShardedCsr,
     cfg: &DistConfig,
-    exec: &mut ShardExec,
+    fleet: &mut DeviceFleet,
     telemetry: &mut DistTelemetry,
 ) -> Result<Vec<u32>, GpuLouvainError> {
     let n = g.num_vertices();
@@ -468,17 +455,29 @@ fn sharded_level(
                 continue;
             }
             // Shard passes in fixed shard order, each on its own device
-            // through the retry/failover ladder. Every pass reads the
-            // wave's frozen state, so moves are only collected here (in
-            // gather order: shard, then ascending global id) and applied
-            // after the last pass.
+            // through the recovery ladder. With every device down a pass
+            // replays on the host, whose replica observes exactly what the
+            // kernel does, so degraded supersteps stay bit-identical to
+            // healthy ones. Every pass reads the wave's frozen state, so
+            // moves are only collected here (in gather order: shard, then
+            // ascending global id) and applied after the last pass.
             wave_moves.clear();
             for (s, slice) in phase.iter().enumerate() {
                 if slice.locals.is_empty() {
                     continue;
                 }
                 let view = comms.halo_view(s, &shard_graphs[s], &slice.locals, &slice.k, two_m);
-                let props = pass_with_recovery(&view, cfg, exec, s, superstep)?;
+                let props = fleet.run(
+                    s,
+                    format_args!("shard {s} superstep {superstep}"),
+                    |dev| {
+                        retry_transient(dev, &cfg.gpu.retry, || {
+                            halo_move_pass(dev, &view, &cfg.gpu)
+                        })
+                        .map_err(|(e, _)| e)
+                    },
+                    cfg.sequential_fallback.then_some(|| halo_move_host(&view)),
+                )?;
                 for (i, (&v, &p)) in slice.globals.iter().zip(&props).enumerate() {
                     if p != comms.labels()[v as usize] {
                         wave_moves.push((s, i, p));
@@ -542,139 +541,10 @@ fn sharded_level(
     Ok(best)
 }
 
-/// Runs one shard's move pass with in-driver retries, failover to the next
-/// healthy device, and the sequential host replica as last resort.
-fn pass_with_recovery(
-    view: &HaloView<'_>,
-    cfg: &DistConfig,
-    exec: &mut ShardExec,
-    home: usize,
-    superstep: usize,
-) -> Result<Vec<u32>, GpuLouvainError> {
-    let d = exec.devices.len();
-    let mut last_err: Option<GpuLouvainError> = None;
-    let mut failed_from: Option<usize> = None;
-    for step in 0..d {
-        let di = (home + step) % d;
-        if !exec.healthy[di] {
-            continue;
-        }
-        if let Some(from) = failed_from {
-            exec.recovery.push(RecoveryAction::Failover {
-                scope: format!("shard {home} superstep {superstep}"),
-                from_device: from,
-                to_device: di,
-            });
-        }
-        match pass_with_retry(&exec.devices[di], view, &cfg.gpu) {
-            Ok((props, retries)) => {
-                if retries > 0 {
-                    exec.recovery
-                        .push(RecoveryAction::LocalRetry { device: di, recoveries: retries });
-                }
-                if failed_from.is_some() {
-                    exec.devices[di].note_fault_recovered();
-                }
-                return Ok(props);
-            }
-            Err(e) if e.is_device_attributable() => {
-                exec.healthy[di] = false;
-                failed_from = Some(di);
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if cfg.sequential_fallback {
-        exec.recovery.push(RecoveryAction::SequentialFallback {
-            scope: format!("shard {home} superstep {superstep}"),
-        });
-        exec.degraded = true;
-        // The host replica replays the kernel's observation structure, so
-        // degraded supersteps stay bit-identical to healthy ones.
-        return Ok(halo_move_host(view));
-    }
-    Err(last_err.unwrap_or(GpuLouvainError::InvariantViolation {
-        stage: "dist",
-        detail: format!("no healthy device for shard {home} and sequential fallback is disabled"),
-    }))
-}
-
-/// One device's attempts at a pass under the configured [`RetryPolicy`].
-/// Returns the proposals and the number of retries that were needed.
-fn pass_with_retry(
-    dev: &Device,
-    view: &HaloView<'_>,
-    gpu: &GpuLouvainConfig,
-) -> Result<(Vec<u32>, u64), GpuLouvainError> {
-    let attempts = gpu.retry.max_attempts.max(1);
-    let mut last: Option<GpuLouvainError> = None;
-    for attempt in 1..=attempts {
-        match halo_move_pass(dev, view, gpu) {
-            Ok(p) => return Ok((p, attempt as u64 - 1)),
-            Err(e) if e.is_device_attributable() && attempt < attempts => {
-                std::thread::sleep(gpu.retry.backoff_for(attempt));
-                last = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.expect("loop returns unless a retryable error was seen"))
-}
-
-/// Single-device finish for a coarse graph that fits one device, with the
-/// same failover ladder as the shard passes and the sequential Louvain
-/// baseline as last resort.
-fn finish_with_recovery(
-    g: &Csr,
-    cfg: &DistConfig,
-    exec: &mut ShardExec,
-) -> Result<Partition, GpuLouvainError> {
-    let d = exec.devices.len();
-    let mut last_err: Option<GpuLouvainError> = None;
-    let mut failed_from: Option<usize> = None;
-    for di in 0..d {
-        if !exec.healthy[di] {
-            continue;
-        }
-        if let Some(from) = failed_from {
-            exec.recovery.push(RecoveryAction::Failover {
-                scope: "finish".to_string(),
-                from_device: from,
-                to_device: di,
-            });
-        }
-        match louvain_gpu(&exec.devices[di], g, &cfg.gpu) {
-            Ok(res) => {
-                if failed_from.is_some() {
-                    exec.devices[di].note_fault_recovered();
-                }
-                return Ok(res.partition);
-            }
-            Err(e) if e.is_device_attributable() => {
-                exec.healthy[di] = false;
-                failed_from = Some(di);
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if cfg.sequential_fallback {
-        exec.recovery.push(RecoveryAction::SequentialFallback { scope: "finish".to_string() });
-        exec.degraded = true;
-        let seq = louvain_sequential(g, &SequentialConfig::original());
-        return Ok(seq.partition);
-    }
-    Err(last_err.unwrap_or(GpuLouvainError::InvariantViolation {
-        stage: "dist",
-        detail: "no healthy device for the finish level".to_string(),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cd_gpusim::Profile;
+    use cd_gpusim::{Device, Profile};
     use cd_graph::gen::{cliques, planted_partition, rmat, RmatParams};
 
     fn small_cfg(num_shards: usize, mem: usize) -> DistConfig {

@@ -7,7 +7,7 @@
 //! community tables, so these runs also pin that the tables survive a pass
 //! that is re-run elsewhere.
 //!
-//! The last two cases run past the sharded level into the single-device
+//! The last three cases run past the sharded level into the single-device
 //! finish of the coarse level, whose ladder ends in the sequential Louvain
 //! baseline: failover there is bit-identical too, while the sequential last
 //! resort is held to a measured quality band instead.
@@ -87,6 +87,11 @@ fn aborted_and_stuck_passes_retry_on_their_home_device() {
     assert_eq!((failovers, fallbacks), (0, 0), "{:?}", faulty.telemetry.recovery);
     assert!(!faulty.telemetry.degraded);
     assert!(faulty.telemetry.faults.injected() > 0);
+    // Every failed pass attempt is a detected fault (71 on this plan), and
+    // each retried pass is one recovery, which its `LocalRetry` reports.
+    let faults = &faulty.telemetry.faults;
+    assert_eq!(faults.detected, faults.injected(), "{faults:?}");
+    assert_eq!(faults.recovered, local_recoveries(&faulty), "{faults:?}");
 }
 
 #[test]
@@ -115,6 +120,18 @@ fn with_every_device_down_passes_replay_on_the_host() {
     assert_eq!((retries, failovers), (0, SHARDS - 1), "{:?}", faulty.telemetry.recovery);
     assert!(fallbacks > 1, "every pass should fall back: {:?}", faulty.telemetry.recovery);
     assert!(faulty.telemetry.degraded);
+}
+
+/// Sum of `recoveries` over the `LocalRetry` actions in the recovery log.
+fn local_recoveries(r: &DistResult) -> u64 {
+    r.telemetry
+        .recovery
+        .iter()
+        .map(|a| match a {
+            RecoveryAction::LocalRetry { recoveries, .. } => *recoveries,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Finish-level actions in the recovery log: (failovers, sequential
@@ -148,6 +165,28 @@ fn a_device_failing_the_finish_hands_it_to_the_next_healthy_one() {
             from_device: 0,
             to_device: 1
         }]
+    );
+    assert!(!faulty.telemetry.degraded);
+}
+
+#[test]
+fn stage_retries_of_the_finish_are_logged_and_change_nothing() {
+    // Under this seeded schedule device 0 retries one stage of the finish
+    // and completes it: no failover, and the same answer as the clean run.
+    let g = graph();
+    let clean = run(&g, &finish_config(&g, FaultPlan::disabled(), 3));
+    let plan = FaultPlan::seeded(1).with_abort_rate(0.001).with_stuck_rate(0.0005);
+    let faulty = run(&g, &finish_config(&g, plan, 3));
+    assert_same_answer(&faulty, &clean);
+    assert_eq!(finish_kinds(&faulty), (0, 0), "{:?}", faulty.telemetry.recovery);
+    assert!(
+        faulty
+            .telemetry
+            .recovery
+            .iter()
+            .any(|a| matches!(a, RecoveryAction::LocalRetry { scope, .. } if scope == "finish")),
+        "{:?}",
+        faulty.telemetry.recovery
     );
     assert!(!faulty.telemetry.degraded);
 }

@@ -158,6 +158,32 @@ fn multi_gpu_completes_under_faults_and_reports_recovery() {
 }
 
 #[test]
+fn multi_gpu_failover_gives_the_same_answer() {
+    // One attempt per stage: the first fault on a device fails its block,
+    // marks the device down and moves the block on. Under this seeded
+    // schedule block 0 walks from device 0 to device 2, and block 1 skips its
+    // downed home device without a second failover.
+    let g = community_gpu::graph::gen::planted_partition(8, 32, 0.4, 0.01, 9).graph;
+    let clean = louvain_multi_gpu(&g, &MultiGpuConfig::k40m(4)).expect("clean run");
+    let mut cfg = MultiGpuConfig::k40m(4);
+    cfg.gpu.retry.max_attempts = 1;
+    cfg.device = cfg
+        .device
+        .with_profile(Profile::Instrumented)
+        .with_fault_plan(FaultPlan::seeded(6).with_abort_rate(0.002));
+    let res = louvain_multi_gpu(&g, &cfg).expect("failover should save the run");
+    assert_eq!(res.partition.as_slice(), clean.partition.as_slice(), "labels diverge");
+    assert_eq!(res.modularity.to_bits(), clean.modularity.to_bits(), "Q bits diverge");
+    let failover = |from_device, to_device| RecoveryAction::Failover {
+        scope: "block 0".to_string(),
+        from_device,
+        to_device,
+    };
+    assert_eq!(res.recovery, vec![failover(0, 1), failover(1, 2)]);
+    assert!(clean.recovery.is_empty());
+}
+
+#[test]
 fn multi_gpu_fault_schedule_is_reproducible() {
     let g = test_graph();
     let mut cfg = MultiGpuConfig::k40m(3);
