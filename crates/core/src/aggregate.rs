@@ -12,11 +12,11 @@
 //!    `computeMove` — hashing every member's neighbor communities, then
 //!    compacting the resulting edge lists into the final CSR.
 
-use crate::config::{GpuLouvainConfig, HashPlacement, AGG_BUCKETS};
+use crate::bucketed::{launch_bounded, launch_open_ended, sort_open_ended};
+use crate::config::{GpuLouvainConfig, AGG_BUCKETS};
 use crate::dev_graph::DeviceGraph;
-use crate::hashtable::{TableOverflow, TableSpace, TableStorage};
+use crate::hashtable::{HashTable, TableOverflow};
 use crate::louvain::GpuLouvainError;
-use crate::primes::{next_prime_at_least, table_size_for};
 use crate::schedule::WidthSchedule;
 use cd_gpusim::{
     dispatch_profile, Device, ExecutionProfile, GlobalF64, GlobalU32, GlobalU64, GroupCtx,
@@ -135,7 +135,6 @@ fn aggregate_typed<P: ExecutionProfile>(
         comm,
         com: &com,
         com_size: &com_size,
-        com_degree: &com_degree,
         vertex_start: &vertex_start,
         edge_pos: &edge_pos,
         new_id: &new_id,
@@ -144,10 +143,15 @@ fn aggregate_typed<P: ExecutionProfile>(
         new_deg: &new_deg,
     };
 
+    // `mergeCommunity` tracks no per-lane best.
+    let attempt = |ctx: &mut GroupCtx<P>,
+                   table: &mut HashTable<'_>,
+                   _: &mut [(f64, u32)],
+                   c: usize| { merge_attempt(ctx, &merge_ctx, table, c) };
     let mut lo = 0usize;
-    for (bucket_idx, spec) in AGG_WIDTHS.buckets().iter().enumerate() {
+    for (bucket_idx, &spec) in AGG_WIDTHS.buckets().iter().enumerate() {
         let hi = spec.max_work;
-        let ids = dev.copy_if(&community_ids, |&c| {
+        let mut ids = dev.copy_if(&community_ids, |&c| {
             let d = com_degree[c as usize] as usize;
             d > lo && d <= hi
         });
@@ -155,10 +159,13 @@ fn aggregate_typed<P: ExecutionProfile>(
         if ids.is_empty() {
             continue;
         }
+        let kernel = MERGE_KERNELS[bucket_idx];
         if spec.is_open_ended() {
-            merge_global_bucket::<P>(dev, &merge_ctx, cfg, &ids)?;
+            let slots = sort_open_ended(dev, &mut ids, |c| com_degree[c as usize] as usize)?;
+            launch_open_ended(dev, cfg, kernel, &ids, &slots, attempt)?;
         } else {
-            merge_shared_bucket::<P>(dev, &merge_ctx, cfg, &ids, hi, spec.lanes, bucket_idx)?;
+            let task_id = |_: &mut GroupCtx<P>, task: usize| ids[task] as usize;
+            launch_bounded(dev, cfg, kernel, ids.len(), spec, task_id, attempt)?;
         }
     }
 
@@ -221,7 +228,6 @@ struct MergeContext<'a> {
     comm: &'a [u32],
     com: &'a [u32],
     com_size: &'a [u32],
-    com_degree: &'a [u64],
     vertex_start: &'a [usize],
     edge_pos: &'a [usize],
     new_id: &'a [usize],
@@ -230,45 +236,17 @@ struct MergeContext<'a> {
     new_deg: &'a GlobalU64,
 }
 
-/// `mergeCommunity` for one community, with the same capacity-fault recovery
-/// as `computeMove`: an overflowing hash table (possible only under corrupted
-/// state) retries against the next-prime-sized table, falling back from
-/// shared to global memory.
-fn merge_one<P: ExecutionProfile>(
-    ctx: &mut GroupCtx<P>,
-    mc: &MergeContext<'_>,
-    table: &mut TableStorage,
-    mut space: TableSpace,
-    mut slots: usize,
-    c: usize,
-) {
-    loop {
-        match merge_attempt(ctx, mc, table, space, slots, c) {
-            Ok(()) => return,
-            Err(TableOverflow { .. }) => {
-                if space == TableSpace::Shared {
-                    space = TableSpace::Global;
-                    ctx.note_table_fallback();
-                }
-                slots = next_prime_at_least(slots.saturating_mul(2) | 1);
-            }
-        }
-    }
-}
-
 /// `mergeCommunity` body for one community: hash every member's neighbor
 /// communities, then write the (new-id-relabeled, sorted) adjacency into the
 /// community's scratch range. A full hash table aborts with [`TableOverflow`]
-/// before anything is written; [`merge_one`] retries with a larger table.
+/// before anything is written; [`crate::bucketed::with_table_retry`]
+/// retries with a larger table.
 fn merge_attempt<P: ExecutionProfile>(
     ctx: &mut GroupCtx<P>,
     mc: &MergeContext<'_>,
-    table: &mut TableStorage,
-    space: TableSpace,
-    slots: usize,
+    t: &mut HashTable<'_>,
     c: usize,
 ) -> Result<(), TableOverflow> {
-    let mut t = table.table(slots, space);
     t.reset(ctx);
     // Cooperative reset must complete on every warp before any warp starts
     // inserting (racecheck: W-A hazard without it). Sub-warp groups are
@@ -325,73 +303,6 @@ fn merge_attempt<P: ExecutionProfile>(
         ctx.barrier();
     }
     Ok(())
-}
-
-/// Shared-memory community buckets (degree sums up to 479).
-fn merge_shared_bucket<P: ExecutionProfile>(
-    dev: &Device,
-    mc: &MergeContext<'_>,
-    cfg: &GpuLouvainConfig,
-    ids: &[u32],
-    max_degree_sum: usize,
-    lanes: usize,
-    bucket_idx: usize,
-) -> Result<(), GpuLouvainError> {
-    let slots = table_size_for(max_degree_sum)?;
-    let (space, shared_bytes) = match cfg.hash_placement {
-        HashPlacement::Auto => (TableSpace::Shared, slots * 12),
-        HashPlacement::ForceGlobal => (TableSpace::Global, 0),
-    };
-    dev.exec::<P>()
-        .try_launch_tasks(
-            MERGE_KERNELS[bucket_idx],
-            ids.len(),
-            lanes,
-            shared_bytes,
-            || TableStorage::with_capacity(slots),
-            |ctx, table, task| {
-                merge_one(ctx, mc, table, space, slots, ids[task] as usize);
-            },
-        )
-        .map_err(GpuLouvainError::Launch)
-}
-
-/// The open-ended community bucket: global tables, communities sorted by
-/// degree sum and dealt to a bounded number of blocks.
-fn merge_global_bucket<P: ExecutionProfile>(
-    dev: &Device,
-    mc: &MergeContext<'_>,
-    cfg: &GpuLouvainConfig,
-    ids: &[u32],
-) -> Result<(), GpuLouvainError> {
-    let mut sorted = ids.to_vec();
-    dev.sort_by_key(&mut sorted, |&c| std::cmp::Reverse(mc.com_degree[c as usize]));
-    // Table sizes are resolved host-side before launch so an out-of-ladder
-    // degree sum is a typed error, not an in-kernel panic.
-    let slots_sorted: Vec<usize> = sorted
-        .iter()
-        .map(|&c| table_size_for(mc.com_degree[c as usize] as usize))
-        .collect::<Result<_, _>>()?;
-    let n_blocks = cfg.global_bucket_blocks.min(sorted.len()).max(1);
-    let sorted_ref = &sorted;
-    let slots_ref = &slots_sorted;
-    dev.exec::<P>()
-        .try_launch_blocks(
-            MERGE_KERNELS[2],
-            n_blocks,
-            |block| TableStorage::with_capacity(slots_ref[block]),
-            |ctx, table| {
-                let block = ctx.block_id;
-                let mut idx = block;
-                while idx < sorted_ref.len() {
-                    let c = sorted_ref[idx] as usize;
-                    merge_one(ctx, mc, table, TableSpace::Global, slots_ref[idx], c);
-                    ctx.finish_task();
-                    idx += n_blocks;
-                }
-            },
-        )
-        .map_err(GpuLouvainError::Launch)
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //!
 //! One **halo move pass** evaluates, for every vertex a shard *owns*, the
 //! same modularity-gain decision as the single-device `computeMove` kernel
-//! ([`crate::modopt`]) — same degree-bucket launch ladder, same hash-table
-//! accumulation with capacity-overflow retry, same [`GAIN_EPS`] tie rules
-//! and singleton ordering rule — against a *frozen* snapshot of global
-//! state:
+//! ([`crate::modopt`]) — launched through the same degree-bucketed
+//! hash-table scaffolding (`crate::bucketed`: bucket ladder, table
+//! placement, capacity-overflow retry), with the same [`GAIN_EPS`] tie
+//! rules and singleton ordering rule — against a *frozen* snapshot of
+//! global state:
 //!
 //! * `labels[l]` — the **global** community id of every local vertex
 //!   (owned and ghost alike), as of the previous superstep;
@@ -32,20 +33,13 @@
 //! a superstep are evaluated against the same snapshot and committed at
 //! once by the driver.
 
-use crate::config::{GpuLouvainConfig, HashPlacement, MODOPT_BUCKETS};
+use crate::bucketed::{HostBins, MODOPT_WIDTHS};
+use crate::config::GpuLouvainConfig;
 use crate::dev_graph::DeviceGraph;
-use crate::hashtable::{HashTable, TableOverflow, TableSpace, TableStorage};
+use crate::hashtable::{HashTable, TableOverflow};
 use crate::louvain::GpuLouvainError;
-use crate::primes::{next_prime_at_least, table_size_for};
-use crate::schedule::WidthSchedule;
+use crate::modopt::GAIN_EPS;
 use cd_gpusim::{dispatch_profile, Device, ExecutionProfile, GroupCtx, PooledU32};
-
-/// Tie tolerance on gain comparisons — identical to the single-device
-/// kernel's.
-const GAIN_EPS: f64 = 1e-15;
-
-/// Work-to-width mapping (the `computeMove` ladder).
-const HALO_WIDTHS: WidthSchedule = WidthSchedule::new(&MODOPT_BUCKETS);
 
 /// Kernel names per degree bucket.
 const HALO_MOVE_KERNELS: [&str; 7] = [
@@ -97,18 +91,6 @@ impl<'a> HaloView<'a> {
     }
 }
 
-/// Per-block scratch: reusable hash table + per-lane best slots.
-struct MoveScratch {
-    table: TableStorage,
-    lane_best: Vec<(f64, u32)>,
-}
-
-impl MoveScratch {
-    fn new(table_slots: usize) -> Self {
-        Self { table: TableStorage::with_capacity(table_slots), lane_best: vec![(0.0, 0); 128] }
-    }
-}
-
 /// Runs one halo move pass on `dev`, returning the proposed global
 /// community id of every owned vertex (aligned with `view.owned`).
 /// Degree-0 owned vertices keep their current label.
@@ -147,115 +129,13 @@ fn halo_typed<P: ExecutionProfile>(
 
     // Degree bins over owned positions (ascending position == ascending
     // global id, so the bins — like everything else — are K-independent).
-    let mut shared: [Vec<u32>; 6] = Default::default();
-    let mut b7: Vec<u32> = Vec::new();
-    for (pos, &l) in view.owned.iter().enumerate() {
-        let d = view.graph.degree(l as usize);
-        if d == 0 {
-            continue;
-        }
-        let b = HALO_WIDTHS.bucket_for(d);
-        if b == MODOPT_BUCKETS.len() - 1 {
-            b7.push(pos as u32);
-        } else {
-            shared[b].push(pos as u32);
-        }
-    }
-    dev.sort_by_key(&mut b7, |&p| {
-        (std::cmp::Reverse(view.graph.degree(view.owned[p as usize] as usize)), p)
-    });
-    let b7_slots: Vec<usize> = b7
-        .iter()
-        .map(|&p| table_size_for(view.graph.degree(view.owned[p as usize] as usize)))
-        .collect::<Result<_, _>>()?;
-
-    for (bucket_idx, positions) in shared.iter().enumerate() {
-        if positions.is_empty() {
-            continue;
-        }
-        let spec = MODOPT_BUCKETS[bucket_idx];
-        let slots = table_size_for(spec.max_work)?;
-        let (space, shared_bytes) = match cfg.hash_placement {
-            HashPlacement::Auto => (TableSpace::Shared, slots * 12),
-            HashPlacement::ForceGlobal => (TableSpace::Global, 0),
-        };
-        dev.exec::<P>()
-            .try_launch_tasks(
-                HALO_MOVE_KERNELS[bucket_idx],
-                positions.len(),
-                spec.lanes,
-                shared_bytes,
-                || MoveScratch::new(slots),
-                |ctx, scratch, task| {
-                    ctx.global_read_coalesced(1);
-                    let pos = positions[task] as usize;
-                    let MoveScratch { table, lane_best } = scratch;
-                    move_one(ctx, view, &proposals, table, slots, space, lane_best, pos);
-                },
-            )
-            .map_err(GpuLouvainError::Launch)?;
-    }
-    if !b7.is_empty() {
-        let n_blocks = cfg.global_bucket_blocks.min(b7.len()).max(1);
-        dev.exec::<P>()
-            .try_launch_blocks(
-                HALO_MOVE_KERNELS[6],
-                n_blocks,
-                |block| MoveScratch::new(b7_slots[block]),
-                |ctx, scratch| {
-                    let block = ctx.block_id;
-                    let mut idx = block;
-                    while idx < b7.len() {
-                        let pos = b7[idx] as usize;
-                        let slots = b7_slots[idx];
-                        let MoveScratch { table, lane_best } = scratch;
-                        move_one(
-                            ctx,
-                            view,
-                            &proposals,
-                            table,
-                            slots,
-                            TableSpace::Global,
-                            lane_best,
-                            pos,
-                        );
-                        ctx.finish_task();
-                        idx += n_blocks;
-                    }
-                },
-            )
-            .map_err(GpuLouvainError::Launch)?;
-    }
+    let bins = HostBins::build(dev, 0..n_owned as u32, |pos| {
+        view.graph.degree(view.owned[pos as usize] as usize)
+    })?;
+    bins.launch(dev, cfg, &HALO_MOVE_KERNELS, |ctx, table, lane_best, pos| {
+        move_attempt::<P>(ctx, view, &proposals, table, lane_best, pos)
+    })?;
     Ok(proposals.to_vec())
-}
-
-/// Gain evaluation for one owned vertex with the capacity-fault recovery
-/// loop of `computeMove`: on table overflow the attempt retries against the
-/// next-prime-sized table, falling back from shared to global memory.
-#[allow(clippy::too_many_arguments)]
-fn move_one<P: ExecutionProfile>(
-    ctx: &mut GroupCtx<P>,
-    view: &HaloView<'_>,
-    proposals: &PooledU32<'_>,
-    storage: &mut TableStorage,
-    mut slots: usize,
-    mut space: TableSpace,
-    lane_best: &mut [(f64, u32)],
-    pos: usize,
-) {
-    loop {
-        let mut table = storage.table(slots, space);
-        match move_attempt(ctx, view, proposals, &mut table, lane_best, pos) {
-            Ok(()) => return,
-            Err(TableOverflow { .. }) => {
-                if space == TableSpace::Shared {
-                    space = TableSpace::Global;
-                    ctx.note_table_fallback();
-                }
-                slots = next_prime_at_least(slots.saturating_mul(2) | 1);
-            }
-        }
-    }
 }
 
 /// One gain evaluation: hash the neighborhood's global community labels,
@@ -371,7 +251,7 @@ pub fn halo_move_host(view: &HaloView<'_>) -> Vec<u32> {
         }
         let ci = view.labels[i];
         let ki = view.k[pos];
-        let lanes = MODOPT_BUCKETS[HALO_WIDTHS.bucket_for(deg)].lanes;
+        let lanes = MODOPT_WIDTHS.width_for(deg);
         let i_singleton = view.size(i) == 1;
         running.clear();
         let mut lane_best = vec![(f64::NEG_INFINITY, u32::MAX); lanes];

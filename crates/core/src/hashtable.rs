@@ -520,28 +520,45 @@ mod tests {
 
     #[test]
     fn overflow_is_recoverable_with_a_resized_table() {
-        // The fault-tolerant kernel path: on overflow, retry the whole task
-        // against the next-prime-sized table until every key fits.
+        // The fault-tolerant kernel path: on overflow, the kernels' one retry
+        // helper re-runs the whole task against a larger table until every
+        // key fits. Returns the table sizes tried, the final entries and the
+        // fallbacks counted.
         let keys: Vec<u32> = (0..12u32).map(|k| k * 7919).collect();
-        let mut storage = TableStorage::with_capacity(4);
-        let mut size = table_size_for(2).unwrap(); // 5 — too small for 12 keys
-        with_ctx(|ctx| loop {
-            let mut t = storage.table(size, TableSpace::Shared);
-            t.reset(ctx);
-            match keys.iter().try_for_each(|&k| t.try_insert_add(ctx, k, 1.0).map(|_| ())) {
-                Ok(()) => {
+        let run = |slots: usize, space: TableSpace| {
+            let mut storage = TableStorage::with_capacity(4);
+            let mut sizes = Vec::new();
+            let mut entries = Vec::new();
+            let ((), counters) = with_ctx(|ctx| {
+                crate::bucketed::with_table_retry(ctx, &mut storage, slots, space, |ctx, t| {
+                    sizes.push(t.size());
+                    t.reset(ctx);
+                    let size = t.size();
                     for &k in &keys {
-                        assert_eq!(t.get(ctx, k), 1.0);
+                        t.try_insert_add(ctx, k, 1.0)
+                            .inspect_err(|overflow| assert_eq!(overflow.size, size))?;
                     }
-                    break;
-                }
-                Err(overflow) => {
-                    assert_eq!(overflow.size, size);
-                    size = crate::primes::next_prime_at_least(size + 1);
-                }
-            }
-        });
-        assert!(size > 5, "recovery must have grown the table");
+                    entries = t.iter_filled().collect();
+                    Ok(())
+                })
+            });
+            entries.sort_unstable_by_key(|&(k, _)| k);
+            (sizes, entries, counters.table_fallbacks)
+        };
+        let large = table_size_for(keys.len()).unwrap();
+        let (sizes, reference, fallbacks) = run(large, TableSpace::Shared);
+        assert_eq!((sizes, fallbacks), (vec![large], 0));
+        assert_eq!(reference, keys.iter().map(|&k| (k, 1.0)).collect::<Vec<_>>());
+
+        let small = table_size_for(2).unwrap(); // 5 — too small for 12 keys
+        for (space, expected_fallbacks) in [(TableSpace::Shared, 1), (TableSpace::Global, 0)] {
+            let (sizes, entries, fallbacks) = run(small, space);
+            assert!(sizes.len() > 1, "{space:?}: recovery must have grown the table");
+            assert_eq!(sizes[0], small);
+            assert!(sizes.windows(2).all(|w| w[0] < w[1]), "{space:?}: sizes {sizes:?}");
+            assert_eq!(entries, reference, "{space:?}");
+            assert_eq!(fallbacks, expected_fallbacks, "{space:?}");
+        }
     }
 
     #[test]

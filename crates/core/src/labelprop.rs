@@ -2,8 +2,8 @@
 //! algorithm portfolio.
 //!
 //! Both variants run on the same CSR + label-buffer machinery as the Louvain
-//! kernels and reuse the degree-binned launch ladder
-//! ([`crate::config::MODOPT_BUCKETS`]) with hash-table weighted voting: each
+//! kernels and launch their hash-table weighted vote through the same
+//! degree-bucketed launcher as `computeMove` (`crate::bucketed`): each
 //! vertex adopts the label carrying the largest incident edge weight, ties
 //! broken deterministically toward the *smallest* label id.
 //!
@@ -34,15 +34,15 @@
 //! [`cd_gpusim::GroupCtx::reduce_best`] breaks exact ties toward the smaller
 //! label id.
 
-use crate::config::{GpuLouvainConfig, HashPlacement, MODOPT_BUCKETS};
+use crate::bucketed::HostBins;
+use crate::config::GpuLouvainConfig;
 use crate::dev_graph::DeviceGraph;
-use crate::hashtable::{HashTable, TableOverflow, TableSpace, TableStorage};
+use crate::hashtable::{HashTable, TableOverflow};
 use crate::louvain::{
     estimated_device_bytes, GpuLouvainError, GpuLouvainResult, GpuStageStats, StageAbort,
     StageCheckpoint,
 };
-use crate::primes::{next_prime_at_least, table_size_for};
-use crate::schedule::WidthSchedule;
+use crate::recovery::retry_stage;
 use cd_gpusim::{dispatch_profile, Device, ExecutionProfile, GroupCtx, PooledU32};
 use cd_graph::{modularity, Csr, Dendrogram, Partition};
 use std::time::{Duration, Instant};
@@ -58,12 +58,10 @@ pub enum LpaMode {
     Async,
 }
 
-/// Work-to-width mapping of the voting kernels (same ladder as the
-/// modularity-optimization phase: vote work is one hash insert per arc,
-/// exactly `computeMove`'s access pattern minus the gain arithmetic).
-const LPA_WIDTHS: WidthSchedule = WidthSchedule::new(&MODOPT_BUCKETS);
-
-/// Kernel names per degree bucket, hoisted like `COMPUTE_MOVE_KERNELS`.
+/// Kernel names per degree bucket, hoisted like `COMPUTE_MOVE_KERNELS`. The
+/// vote runs on `computeMove`'s bucket ladder: its work is one hash insert
+/// per arc, exactly `computeMove`'s access pattern minus the gain
+/// arithmetic.
 const LPA_VOTE_KERNELS: [&str; 7] = [
     "lpa_vote_b1",
     "lpa_vote_b2",
@@ -128,87 +126,6 @@ impl<'d> LpaState<'d> {
     /// Folds one sharded counter in fixed index order.
     fn fold(&self, base: usize) -> usize {
         (base..base + LPA_SHARDS).map(|s| self.counters.load(s) as usize).sum()
-    }
-}
-
-/// Host-side degree bins for one vertex range. Degrees never change within a
-/// run (label propagation does not contract), so the bins are built once.
-struct HostBins {
-    /// Id lists for the six shared-memory buckets.
-    shared: [Vec<u32>; 6],
-    /// Open-ended bucket, degree-descending (ties by id) like the
-    /// modularity phase's bucket 7.
-    b7_sorted: Vec<u32>,
-    /// Hash-table slots per entry of `b7_sorted`.
-    b7_slots: Vec<usize>,
-}
-
-impl HostBins {
-    fn build(
-        dev: &Device,
-        g: &DeviceGraph,
-        range: std::ops::Range<usize>,
-    ) -> Result<Self, GpuLouvainError> {
-        let mut shared: [Vec<u32>; 6] = Default::default();
-        let mut b7: Vec<u32> = Vec::new();
-        for v in range {
-            let d = g.degree(v);
-            if d == 0 {
-                continue;
-            }
-            let b = LPA_WIDTHS.bucket_for(d);
-            if b == MODOPT_BUCKETS.len() - 1 {
-                b7.push(v as u32);
-            } else {
-                shared[b].push(v as u32);
-            }
-        }
-        dev.sort_by_key(&mut b7, |&v| (std::cmp::Reverse(g.degree(v as usize)), v));
-        let b7_slots: Vec<usize> =
-            b7.iter().map(|&v| table_size_for(g.degree(v as usize))).collect::<Result<_, _>>()?;
-        Ok(Self { shared, b7_sorted: b7, b7_slots })
-    }
-}
-
-/// Per-block scratch of the voting kernels (a reusable hash table plus the
-/// per-lane best-candidate slots).
-struct VoteScratch {
-    table: TableStorage,
-    lane_best: Vec<(f64, u32)>,
-}
-
-impl VoteScratch {
-    fn new(table_slots: usize) -> Self {
-        Self { table: TableStorage::with_capacity(table_slots), lane_best: vec![(0.0, 0); 128] }
-    }
-}
-
-/// Weighted vote for one vertex with the same capacity-fault recovery loop
-/// as `computeMove`: on table overflow the attempt retries against the
-/// next-prime-sized table, falling back from shared to global memory.
-#[allow(clippy::too_many_arguments)]
-fn vote_one<P: ExecutionProfile>(
-    ctx: &mut GroupCtx<P>,
-    g: &DeviceGraph,
-    state: &LpaState<'_>,
-    storage: &mut TableStorage,
-    mut slots: usize,
-    mut space: TableSpace,
-    lane_best: &mut [(f64, u32)],
-    i: usize,
-) {
-    loop {
-        let mut table = storage.table(slots, space);
-        match vote_attempt(ctx, g, state, &mut table, lane_best, i) {
-            Ok(()) => return,
-            Err(TableOverflow { .. }) => {
-                if space == TableSpace::Shared {
-                    space = TableSpace::Global;
-                    ctx.note_table_fallback();
-                }
-                slots = next_prime_at_least(slots.saturating_mul(2) | 1);
-            }
-        }
     }
 }
 
@@ -287,95 +204,6 @@ fn vote_attempt<P: ExecutionProfile>(
     Ok(())
 }
 
-/// One vote pass over a shared-memory bucket (buckets 1–6).
-#[allow(clippy::too_many_arguments)]
-fn vote_bucket_shared<P: ExecutionProfile>(
-    dev: &Device,
-    g: &DeviceGraph,
-    state: &LpaState<'_>,
-    cfg: &GpuLouvainConfig,
-    ids: &[u32],
-    max_degree: usize,
-    lanes: usize,
-    bucket_idx: usize,
-) -> Result<(), GpuLouvainError> {
-    let slots = table_size_for(max_degree)?;
-    let (space, shared_bytes) = match cfg.hash_placement {
-        HashPlacement::Auto => (TableSpace::Shared, slots * 12),
-        HashPlacement::ForceGlobal => (TableSpace::Global, 0),
-    };
-    dev.exec::<P>()
-        .try_launch_tasks(
-            LPA_VOTE_KERNELS[bucket_idx],
-            ids.len(),
-            lanes,
-            shared_bytes,
-            || VoteScratch::new(slots),
-            |ctx, scratch, task| {
-                ctx.global_read_coalesced(1);
-                let i = ids[task] as usize;
-                let VoteScratch { table, lane_best } = scratch;
-                vote_one(ctx, g, state, table, slots, space, lane_best, i);
-            },
-        )
-        .map_err(GpuLouvainError::Launch)
-}
-
-/// One vote pass over the open-ended bucket: global-memory tables, vertices
-/// dealt degree-descending to a bounded number of blocks — the same
-/// interleaved deal as `computeMove`'s bucket 7.
-fn vote_bucket_global<P: ExecutionProfile>(
-    dev: &Device,
-    g: &DeviceGraph,
-    state: &LpaState<'_>,
-    cfg: &GpuLouvainConfig,
-    sorted: &[u32],
-    slots_sorted: &[usize],
-) -> Result<(), GpuLouvainError> {
-    debug_assert_eq!(sorted.len(), slots_sorted.len());
-    let n_blocks = cfg.global_bucket_blocks.min(sorted.len()).max(1);
-    dev.exec::<P>()
-        .try_launch_blocks(
-            LPA_VOTE_KERNELS[6],
-            n_blocks,
-            |block| VoteScratch::new(slots_sorted[block]),
-            |ctx, scratch| {
-                let block = ctx.block_id;
-                let mut idx = block;
-                while idx < sorted.len() {
-                    let i = sorted[idx] as usize;
-                    let slots = slots_sorted[idx];
-                    let VoteScratch { table, lane_best } = scratch;
-                    vote_one(ctx, g, state, table, slots, TableSpace::Global, lane_best, i);
-                    ctx.finish_task();
-                    idx += n_blocks;
-                }
-            },
-        )
-        .map_err(GpuLouvainError::Launch)
-}
-
-/// Runs the vote kernels for every bucket of `bins`.
-fn vote<P: ExecutionProfile>(
-    dev: &Device,
-    g: &DeviceGraph,
-    state: &LpaState<'_>,
-    cfg: &GpuLouvainConfig,
-    bins: &HostBins,
-) -> Result<(), GpuLouvainError> {
-    for (bucket_idx, ids) in bins.shared.iter().enumerate() {
-        if ids.is_empty() {
-            continue;
-        }
-        let spec = MODOPT_BUCKETS[bucket_idx];
-        vote_bucket_shared::<P>(dev, g, state, cfg, ids, spec.max_work, spec.lanes, bucket_idx)?;
-    }
-    if !bins.b7_sorted.is_empty() {
-        vote_bucket_global::<P>(dev, g, state, cfg, &bins.b7_sorted, &bins.b7_slots)?;
-    }
-    Ok(())
-}
-
 /// Counts staged changes and the period-2 signal in one pass: a staged
 /// labeling that differs from the current one but matches the labeling two
 /// iterations back is the two-coloring swap re-presenting its old state.
@@ -435,11 +263,49 @@ fn commit<P: ExecutionProfile>(
         .map_err(GpuLouvainError::Launch)
 }
 
+/// One sweep: every chunk votes, then publishes (sync: after the period-2
+/// check, once for all vertices). Returns the number of labels committed, or
+/// `None` when a sync vote staged no change (converged, nothing to publish).
+fn sweep<P: ExecutionProfile>(
+    dev: &Device,
+    g: &DeviceGraph,
+    state: &LpaState<'_>,
+    cfg: &GpuLouvainConfig,
+    mode: LpaMode,
+    chunks: &[std::ops::Range<usize>],
+    bins: &[HostBins],
+) -> Result<Option<usize>, GpuLouvainError> {
+    let n = g.num_vertices();
+    state.counters.fill(0);
+    for (range, chunk_bins) in chunks.iter().zip(bins) {
+        chunk_bins.launch(dev, cfg, &LPA_VOTE_KERNELS, |ctx, table, lane_best, i| {
+            vote_attempt::<P>(ctx, g, state, table, lane_best, i)
+        })?;
+        match mode {
+            LpaMode::Sync => {
+                let (staged, cycle_diff) = check_cycle::<P>(dev, state, n)?;
+                if staged == 0 {
+                    return Ok(None);
+                }
+                commit::<P>(dev, state, 0, n, cycle_diff == 0)?;
+            }
+            LpaMode::Async => commit::<P>(dev, state, range.start, range.len(), false)?,
+        }
+    }
+    Ok(Some(state.fold(CTR_COMMITTED)))
+}
+
 /// Runs label propagation on `graph`. Honors
 /// [`GpuLouvainConfig::max_iterations`], the hash-placement ablation and
 /// the global-bucket block budget; the Louvain-specific threshold knobs are
 /// ignored (the loop terminates on zero committed changes — LPA has no
 /// modularity objective to threshold).
+///
+/// The initial labeling and every sweep run under the configured
+/// [`GpuLouvainConfig::retry`] policy: a transient fault re-runs the sweep
+/// from the labeling it began with, so a recovered run returns the
+/// fault-free labels, and an exhausted budget fails with
+/// [`GpuLouvainError::StageFailed`] naming the sweep.
 pub fn label_propagation(
     dev: &Device,
     graph: &Csr,
@@ -482,7 +348,7 @@ fn lpa_typed<P: ExecutionProfile>(
     let start = Instant::now();
     let g = DeviceGraph::from_csr(graph);
     let n = g.num_vertices();
-    let state = LpaState::new::<P>(dev, n)?;
+    let state = retry_stage(dev, &cfg.retry, 0, || LpaState::new::<P>(dev, n))?;
 
     let mut iterations = 0usize;
     let mut iter_times: Vec<Duration> = Vec::new();
@@ -502,10 +368,14 @@ fn lpa_typed<P: ExecutionProfile>(
                     .collect()
             }
         };
-        let bins: Vec<HostBins> =
-            chunks.iter().map(|r| HostBins::build(dev, &g, r.clone())).collect::<Result<_, _>>()?;
+        // Degrees never change within a run (label propagation does not
+        // contract), so each chunk is binned once.
+        let bins: Vec<HostBins> = chunks
+            .iter()
+            .map(|r| HostBins::build(dev, r.start as u32..r.end as u32, |v| g.degree(v as usize)))
+            .collect::<Result<_, _>>()?;
 
-        'sweeps: while iterations < cfg.max_iterations {
+        while iterations < cfg.max_iterations {
             let checkpoint =
                 StageCheckpoint { stage: iterations, num_vertices: n, num_arcs: g.num_arcs() };
             if let Err(reason) = gate(&checkpoint) {
@@ -513,33 +383,27 @@ fn lpa_typed<P: ExecutionProfile>(
             }
             iterations += 1;
             let iter_start = Instant::now();
-            state.counters.fill(0);
-            let mut committed_before = 0usize;
-            for (range, chunk_bins) in chunks.iter().zip(&bins) {
-                vote::<P>(dev, &g, &state, cfg, chunk_bins)?;
-                match mode {
-                    LpaMode::Sync => {
-                        let (staged, cycle_diff) = check_cycle::<P>(dev, &state, n)?;
-                        if staged == 0 {
-                            iter_times.push(iter_start.elapsed());
-                            break 'sweeps; // converged: nothing to publish
-                        }
-                        commit::<P>(dev, &state, 0, n, cycle_diff == 0)?;
-                    }
-                    LpaMode::Async => {
-                        commit::<P>(dev, &state, range.start, range.len(), false)?;
-                    }
+            // A sweep is the retry unit. Async commits publish into `labels`
+            // chunk by chunk, so every attempt restarts from the labeling
+            // (and the cycle detector) the sweep began with.
+            let (labels0, prev2_0) = (state.labels.to_vec(), state.prev2.to_vec());
+            let mut retry = false;
+            let committed = retry_stage(dev, &cfg.retry, checkpoint.stage, || {
+                if std::mem::replace(&mut retry, true) {
+                    state.labels.copy_from_slice(&labels0);
+                    state.prev2.copy_from_slice(&prev2_0);
                 }
-                let committed = state.fold(CTR_COMMITTED);
-                total_moves += committed - committed_before;
-                committed_before = committed;
-            }
+                sweep::<P>(dev, &g, &state, cfg, mode, &chunks, &bins)
+            })?;
             iter_times.push(iter_start.elapsed());
-            if committed_before == 0 {
-                // Sync: a cycle-breaking half-commit that published nothing
-                // means the current labeling is the pointwise minimum of the
-                // swap — a stable, deterministic stopping point. Async: a
-                // full sweep without a single change is the fixed point.
+            total_moves += committed.unwrap_or(0);
+            if committed.is_none_or(|c| c == 0) {
+                // Converged (sync: nothing staged), or a sweep that
+                // committed nothing. Sync: a cycle-breaking half-commit
+                // that published nothing means the current labeling is the
+                // pointwise minimum of the swap — a stable, deterministic
+                // stopping point. Async: a full sweep without a single
+                // change is the fixed point.
                 break;
             }
         }

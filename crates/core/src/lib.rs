@@ -29,6 +29,7 @@
 
 pub mod aggregate;
 pub mod algorithm;
+mod bucketed;
 pub mod config;
 pub mod dev_graph;
 pub mod halo;

@@ -10,7 +10,7 @@ use crate::dev_graph::DeviceGraph;
 use crate::modopt::{
     modularity_optimization, modularity_optimization_seeded, OptOutcome, WarmSeed,
 };
-use crate::recovery::retry_transient;
+use crate::recovery::retry_stage;
 use crate::schedule::ThresholdSchedule;
 use cd_gpusim::{Device, GlobalF64, GlobalU32, LaunchError};
 use cd_graph::{modularity, Csr, Dendrogram, Partition};
@@ -680,7 +680,7 @@ struct StageRun {
 }
 
 /// Runs one stage under the configured retry policy
-/// ([`crate::recovery::retry_transient`]). Each stage is a checkpoint: its
+/// ([`crate::recovery::retry_stage`]). Each stage is a checkpoint: its
 /// input graph is host-resident and immutable, so a failed attempt (injected
 /// launch fault, or corruption caught by a validation check) is simply re-run
 /// after an exponential backoff — a rerun consumes fresh fault-decision
@@ -696,15 +696,7 @@ fn run_stage_with_retry(
     seed: Option<&WarmSeed<'_>>,
     refine: bool,
 ) -> Result<StageRun, GpuLouvainError> {
-    retry_transient(dev, &cfg.retry, || run_stage(dev, g, cfg, threshold, seed, refine)).map_err(
-        |(cause, attempts)| {
-            if cause.is_transient() {
-                GpuLouvainError::StageFailed { stage: stage_idx, attempts, cause: Box::new(cause) }
-            } else {
-                cause
-            }
-        },
-    )
+    retry_stage(dev, &cfg.retry, stage_idx, || run_stage(dev, g, cfg, threshold, seed, refine))
 }
 
 /// One stage attempt: optimize, validate, aggregate, validate. On a

@@ -1,9 +1,10 @@
 //! The modularity-optimization phase — Algorithms 1 and 2 of the paper.
 //!
 //! Each iteration launches one `computeMove` kernel per degree bucket
-//! ([`crate::config::MODOPT_BUCKETS`]), with thread-group width scaled to the
-//! bucket's degrees and hash tables in shared memory for all but the
-//! open-ended bucket. After each bucket the new community labels are
+//! ([`crate::config::MODOPT_BUCKETS`]) through the shared bucketed launcher
+//! (`crate::bucketed`), with thread-group width scaled to the bucket's
+//! degrees and hash tables in shared memory for all but the open-ended
+//! bucket. After each bucket the new community labels are
 //! committed and the community volumes `a_c` updated, so later buckets see
 //! earlier buckets' moves (the paper's middle ground between fully
 //! synchronous and fully asynchronous updating; the `Relaxed` strategy defers
@@ -18,21 +19,21 @@
 //! committed-move deltas and verified against a full device recompute every
 //! [`GpuLouvainConfig::resync_interval`] iterations (see [`commit`]).
 
-use crate::config::{
-    GpuLouvainConfig, HashPlacement, ThreadAssignment, UpdateStrategy, MODOPT_BUCKETS,
+use crate::bucketed::{
+    grown_table_size, launch_bounded, launch_open_ended, sort_open_ended, Scratch, MODOPT_WIDTHS,
 };
+use crate::config::{GpuLouvainConfig, ThreadAssignment, UpdateStrategy, MODOPT_BUCKETS};
 use crate::dev_graph::DeviceGraph;
 use crate::hashtable::{HashTable, TableOverflow, TableSpace, TableStorage};
 use crate::louvain::GpuLouvainError;
-use crate::primes::{next_prime_at_least, table_size_for};
-use crate::schedule::WidthSchedule;
+use crate::primes::table_size_for;
 use cd_gpusim::{
     dispatch_profile, Device, ExecutionProfile, GlobalU32, GroupCtx, PooledF64, PooledU32,
 };
 use std::time::{Duration, Instant};
 
-/// Tie tolerance on modularity-gain comparisons.
-const GAIN_EPS: f64 = 1e-15;
+/// Tie tolerance on modularity-gain comparisons (shared with the halo pass).
+pub(crate) const GAIN_EPS: f64 = 1e-15;
 
 /// Shard count for the logically-single-cell commit accumulators (`moves`,
 /// `q_delta`). Hardware coalesces same-address atomics in the L2 atomic
@@ -307,10 +308,6 @@ pub(crate) fn device_modularity<P: ExecutionProfile>(
     Ok(inside / two_m - sum_asq / (two_m * two_m))
 }
 
-/// Work-to-width mapping of the optimization kernels; const evaluation
-/// validates the bucket-table shape at build time.
-const MODOPT_WIDTHS: WidthSchedule = WidthSchedule::new(&MODOPT_BUCKETS);
-
 /// Returns the degree bucket of a vertex with degree `d >= 1`.
 fn bucket_index(d: usize) -> usize {
     MODOPT_WIDTHS.bucket_for(d)
@@ -371,11 +368,7 @@ impl<'d> Bins<'d> {
         }
         cursors.fill(0);
         let mut b7_sorted: Vec<u32> = (0..full_counts[6]).map(|t| ids[6].load(t)).collect();
-        dev.sort_by_key(&mut b7_sorted, |&v| (std::cmp::Reverse(g.degree(v as usize)), v));
-        let b7_slots: Vec<usize> = b7_sorted
-            .iter()
-            .map(|&v| table_size_for(g.degree(v as usize)))
-            .collect::<Result<_, _>>()?;
+        let b7_slots = sort_open_ended(dev, &mut b7_sorted, |v| g.degree(v as usize))?;
         let mut b7_rank = vec![u32::MAX; n];
         for (r, &v) in b7_sorted.iter().enumerate() {
             b7_rank[v as usize] = r as u32;
@@ -571,12 +564,19 @@ fn modularity_optimization_typed<P: ExecutionProfile>(
                     // iteration's commits — O(frontier), not O(7n).
                     bins.bin_frontier::<P>(dev, g, &state)?;
                 }
-                for (bucket_idx, spec) in MODOPT_BUCKETS.iter().enumerate() {
+                let attempt = |ctx: &mut GroupCtx<P>,
+                               table: &mut HashTable<'_>,
+                               lane_best: &mut [(f64, u32)],
+                               i: usize| {
+                    compute_move_attempt(ctx, g, &state, table, lane_best, i)
+                };
+                for (bucket_idx, &spec) in MODOPT_BUCKETS.iter().enumerate() {
                     let count = bins.counts[bucket_idx];
                     if count == 0 {
                         continue;
                     }
-                    if bucket_idx == MODOPT_BUCKETS.len() - 1 {
+                    let kernel = COMPUTE_MOVE_KERNELS[bucket_idx];
+                    if spec.is_open_ended() {
                         let pruned = count < bins.full_counts[6];
                         let (sub_ids, sub_slots);
                         let (b7_ids, b7_slots): (&[u32], &[usize]) = if pruned {
@@ -592,19 +592,14 @@ fn modularity_optimization_typed<P: ExecutionProfile>(
                         } else {
                             (&bins.b7_sorted, &bins.b7_slots)
                         };
-                        compute_move_global_bucket::<P>(dev, g, &state, cfg, b7_ids, b7_slots)?;
+                        launch_open_ended(dev, cfg, kernel, b7_ids, b7_slots, attempt)?;
                     } else {
-                        compute_move_shared_bucket::<P>(
-                            dev,
-                            g,
-                            &state,
-                            cfg,
-                            &bins.ids[bucket_idx],
-                            count,
-                            spec.max_work,
-                            spec.lanes,
-                            bucket_idx,
-                        )?;
+                        let ids = &bins.ids[bucket_idx];
+                        let task_id = |ctx: &mut GroupCtx<P>, task: usize| {
+                            ctx.global_read_coalesced(1);
+                            ids.load(task) as usize
+                        };
+                        launch_bounded(dev, cfg, kernel, count, spec, task_id, attempt)?;
                     }
                     if cfg.update_strategy == UpdateStrategy::PerBucket {
                         iter_moves += commit::<P>(
@@ -713,55 +708,10 @@ fn resync_check(q_inc: f64, q_full: f64, iteration: usize) -> Result<(), GpuLouv
     Ok(())
 }
 
-/// Per-block scratch for `computeMove`: a reusable hash table and the
-/// per-lane best-candidate slots.
-struct MoveScratch {
-    table: TableStorage,
-    lane_best: Vec<(f64, u32)>,
-}
-
-impl MoveScratch {
-    fn new(table_slots: usize) -> Self {
-        Self { table: TableStorage::with_capacity(table_slots), lane_best: vec![(0.0, 0); 128] }
-    }
-}
-
-/// Runs the Algorithm 2 body for one vertex with capacity-fault recovery:
-/// when the hash table overflows (possible only under corrupted state — the
-/// 1.5x sizing rule covers well-formed inputs), the task is retried against
-/// the next-prime-sized table, falling back from shared to global memory,
-/// until it fits. The fallback is counted in the kernel's
-/// `table_fallbacks` metric.
-#[allow(clippy::too_many_arguments)]
-fn compute_move_one<P: ExecutionProfile>(
-    ctx: &mut GroupCtx<P>,
-    g: &DeviceGraph,
-    state: &OptState<'_>,
-    storage: &mut TableStorage,
-    mut slots: usize,
-    mut space: TableSpace,
-    lane_best: &mut [(f64, u32)],
-    i: usize,
-) {
-    loop {
-        let mut table = storage.table(slots, space);
-        match compute_move_attempt(ctx, g, state, &mut table, lane_best, i) {
-            Ok(()) => return,
-            Err(TableOverflow { .. }) => {
-                if space == TableSpace::Shared {
-                    space = TableSpace::Global;
-                    ctx.note_table_fallback();
-                }
-                slots = next_prime_at_least(slots.saturating_mul(2) | 1);
-            }
-        }
-    }
-}
-
 /// The body of Algorithm 2 for one vertex: hash the neighborhood, track
 /// per-lane bests, reduce, and stage the decision in `newComm`. A full hash
 /// table aborts the attempt with [`TableOverflow`] before any state is
-/// staged; [`compute_move_one`] retries with a larger table.
+/// staged; [`crate::bucketed::with_table_retry`] retries with a larger table.
 fn compute_move_attempt<P: ExecutionProfile>(
     ctx: &mut GroupCtx<P>,
     g: &DeviceGraph,
@@ -856,83 +806,6 @@ fn compute_move_attempt<P: ExecutionProfile>(
     Ok(())
 }
 
-/// `computeMove` for one shared-memory bucket (buckets 1-6). `ids` is the
-/// bucket's device-resident id array with `count` valid entries.
-#[allow(clippy::too_many_arguments)]
-fn compute_move_shared_bucket<P: ExecutionProfile>(
-    dev: &Device,
-    g: &DeviceGraph,
-    state: &OptState<'_>,
-    cfg: &GpuLouvainConfig,
-    ids: &GlobalU32,
-    count: usize,
-    max_degree: usize,
-    lanes: usize,
-    bucket_idx: usize,
-) -> Result<(), GpuLouvainError> {
-    let slots = table_size_for(max_degree)?;
-    let (space, shared_bytes) = match cfg.hash_placement {
-        HashPlacement::Auto => (TableSpace::Shared, slots * 12),
-        HashPlacement::ForceGlobal => (TableSpace::Global, 0),
-    };
-    dev.exec::<P>()
-        .try_launch_tasks(
-            COMPUTE_MOVE_KERNELS[bucket_idx],
-            count,
-            lanes,
-            shared_bytes,
-            || MoveScratch::new(slots),
-            |ctx, scratch, task| {
-                ctx.global_read_coalesced(1);
-                let i = ids.load(task) as usize;
-                let MoveScratch { table, lane_best } = scratch;
-                compute_move_one(ctx, g, state, table, slots, space, lane_best, i);
-            },
-        )
-        .map_err(GpuLouvainError::Launch)
-}
-
-/// `computeMove` for the open-ended bucket (degree >= 320): hash tables in
-/// global memory, vertices dealt to a bounded number of blocks in an
-/// interleaved fashion so block loads balance (Section 4.1). `sorted` must be
-/// degree-descending with `slots_sorted` the per-entry table sizes — both
-/// resolved once per phase by [`Bins::new`] (host-side, so an out-of-ladder
-/// degree is a typed error, not an in-kernel panic).
-fn compute_move_global_bucket<P: ExecutionProfile>(
-    dev: &Device,
-    g: &DeviceGraph,
-    state: &OptState<'_>,
-    cfg: &GpuLouvainConfig,
-    sorted: &[u32],
-    slots_sorted: &[usize],
-) -> Result<(), GpuLouvainError> {
-    debug_assert_eq!(sorted.len(), slots_sorted.len());
-    let n_blocks = cfg.global_bucket_blocks.min(sorted.len()).max(1);
-    dev.exec::<P>()
-        .try_launch_blocks(
-            COMPUTE_MOVE_KERNELS[6],
-            n_blocks,
-            |block| {
-                // The block's largest vertex is its first (interleaved deal of a
-                // descending sort), so one allocation serves all its tasks.
-                MoveScratch::new(slots_sorted[block])
-            },
-            |ctx, scratch| {
-                let block = ctx.block_id;
-                let mut idx = block;
-                while idx < sorted.len() {
-                    let i = sorted[idx] as usize;
-                    let slots = slots_sorted[idx];
-                    let MoveScratch { table, lane_best } = scratch;
-                    compute_move_one(ctx, g, state, table, slots, TableSpace::Global, lane_best, i);
-                    ctx.finish_task();
-                    idx += n_blocks;
-                }
-            },
-        )
-        .map_err(GpuLouvainError::Launch)
-}
-
 /// Node-centric ablation: one lane per vertex walks its whole adjacency
 /// sequentially (the assignment every earlier parallel Louvain used). Blocks
 /// of 128 vertices; warp divergence is the max-degree straggler effect.
@@ -954,7 +827,7 @@ fn compute_move_node_centric<P: ExecutionProfile>(
         .try_launch_blocks(
             "compute_move_node_centric",
             n_blocks,
-            |_| MoveScratch::new(scratch_slots),
+            |_| Scratch::new(scratch_slots),
             |ctx, scratch| {
                 let lo = ctx.block_id * block_threads;
                 let hi = (lo + block_threads).min(n);
@@ -968,7 +841,7 @@ fn compute_move_node_centric<P: ExecutionProfile>(
                     ctx.steps(warp_max, warp_sum);
                     #[allow(clippy::needless_range_loop)] // i is a vertex id, not just an index
                     for i in w_lo..w_hi {
-                        let MoveScratch { table, lane_best } = scratch;
+                        let Scratch { table, lane_best } = scratch;
                         node_centric_move_one(
                             ctx,
                             g,
@@ -987,9 +860,10 @@ fn compute_move_node_centric<P: ExecutionProfile>(
         .map_err(GpuLouvainError::Launch)
 }
 
-/// Single-lane variant of [`compute_move_one`]: same overflow-retry loop
-/// around the per-vertex attempt (always against global memory, so no
-/// shared-to-global fallback is counted).
+/// Single-lane variant of [`crate::bucketed::with_table_retry`]: the same
+/// overflow-retry loop around the per-vertex attempt, but over a private
+/// table that is always in global memory, so no shared-to-global fallback
+/// is counted.
 fn node_centric_move_one<P: ExecutionProfile>(
     ctx: &mut GroupCtx<P>,
     g: &DeviceGraph,
@@ -1007,7 +881,7 @@ fn node_centric_move_one<P: ExecutionProfile>(
         match node_centric_attempt(ctx, g, state, &mut table, best, i) {
             Ok(()) => return,
             Err(TableOverflow { .. }) => {
-                slots = next_prime_at_least(slots.saturating_mul(2) | 1);
+                slots = grown_table_size(slots);
             }
         }
     }
@@ -1248,6 +1122,7 @@ fn mark_frontier<P: ExecutionProfile>(ctx: &mut GroupCtx<P>, state: &OptState<'_
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HashPlacement;
     use cd_gpusim::{DeviceConfig, Instrumented, Profile};
     use cd_graph::gen::{cliques, star};
     use cd_graph::{modularity as host_modularity, Partition};

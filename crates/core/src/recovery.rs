@@ -79,6 +79,24 @@ pub fn retry_transient<T>(
     }
 }
 
+/// [`retry_transient`] for one stage (or sweep) of a single-device driver:
+/// an exhausted transient error becomes [`GpuLouvainError::StageFailed`]
+/// naming `stage`, and a permanent error passes through unchanged.
+pub(crate) fn retry_stage<T>(
+    dev: &Device,
+    policy: &RetryPolicy,
+    stage: usize,
+    attempt: impl FnMut() -> Result<T, GpuLouvainError>,
+) -> Result<T, GpuLouvainError> {
+    retry_transient(dev, policy, attempt).map_err(|(cause, attempts)| {
+        if cause.is_transient() {
+            GpuLouvainError::StageFailed { stage, attempts, cause: Box::new(cause) }
+        } else {
+            cause
+        }
+    })
+}
+
 /// The devices of one multi-device run, their health flags and the
 /// recovery log.
 pub struct DeviceFleet {

@@ -93,8 +93,6 @@ fn main() {
     let t = Instant::now();
     let gpu = louvain_gpu(&device, g, &GpuLouvainConfig::paper_default()).unwrap();
     let host = t.elapsed();
-    let metrics = device.metrics();
-    let model = device.config().cycles_to_seconds(metrics.total_model_cycles(device.config()));
     println!(
         "{:<22} {:>10.2?} {:>10.4} {:>8}",
         "GPU (this paper)",
@@ -102,10 +100,16 @@ fn main() {
         gpu.modularity,
         gpu.stages.len()
     );
-    println!(
-        "\nGPU cost-model time on a K40m: {model:.4}s  ->  {:.1}x vs sequential",
-        seq.total_time.as_secs_f64() / model
-    );
+    // Only the Instrumented profile records the counters the cost model
+    // reads; under the others the model time is not defined.
+    if device.profile() == Profile::Instrumented {
+        let metrics = device.metrics();
+        let model = device.config().cycles_to_seconds(metrics.total_model_cycles(device.config()));
+        println!(
+            "\nGPU cost-model time on a K40m: {model:.4}s  ->  {:.1}x vs sequential",
+            seq.total_time.as_secs_f64() / model
+        );
+    }
     if let Some(truth) = &built.truth {
         println!("ground-truth modularity: {:.4}", modularity(g, truth));
     }

@@ -12,10 +12,18 @@ use community_gpu::core::UpdateStrategy;
 use community_gpu::gpusim::{FaultPlan, Profile};
 use community_gpu::prelude::*;
 
-fn plan(seed: u64) -> FaultPlan {
+/// Launch faults only: kernel aborts and watchdog timeouts, no bit flips.
+/// Every injected fault fails one attempt, so a completed run must have
+/// detected each of them.
+fn launch_plan(seed: u64) -> FaultPlan {
     // Per-launch rates: a stage makes on the order of a hundred launches, so
     // even sub-percent rates fail most stage attempts at least once per run.
-    FaultPlan::seeded(seed).with_abort_rate(0.01).with_stuck_rate(0.005).with_bitflip_rate(0.001)
+    FaultPlan::seeded(seed).with_abort_rate(0.01).with_stuck_rate(0.005)
+}
+
+/// [`launch_plan`] plus bit flips.
+fn plan(seed: u64) -> FaultPlan {
+    launch_plan(seed).with_bitflip_rate(0.001)
 }
 
 /// Paper-default algorithm config with a roomier retry budget — the injected
@@ -26,12 +34,12 @@ fn cfg() -> GpuLouvainConfig {
     cfg
 }
 
-fn faulty_device(seed: u64) -> Device {
+fn faulty_device(plan: FaultPlan) -> Device {
     // Fault injection lives in the instrumented launch path, so these tests
     // pin the profile — the env-var default may be `Parallel`, which
     // rejects active fault plans.
     Device::new(
-        DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented).with_fault_plan(plan(seed)),
+        DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented).with_fault_plan(plan),
     )
 }
 
@@ -43,7 +51,7 @@ fn test_graph() -> Csr {
 fn same_seed_same_fault_schedule_same_result() {
     let g = test_graph();
     let cfg = cfg();
-    let (da, db) = (faulty_device(42), faulty_device(42));
+    let (da, db) = (faulty_device(plan(42)), faulty_device(plan(42)));
     let a = louvain_gpu(&da, &g, &cfg).expect("run a");
     let b = louvain_gpu(&db, &g, &cfg).expect("run b");
     assert_eq!(a.partition.as_slice(), b.partition.as_slice(), "partitions diverge");
@@ -67,7 +75,7 @@ fn incremental_modularity_resyncs_under_faults() {
             cfg.update_strategy = strategy;
             cfg.pruning = pruning;
             cfg.resync_interval = 1;
-            let dev = faulty_device(17);
+            let dev = faulty_device(plan(17));
             let out = louvain_gpu(&dev, &g, &cfg)
                 .unwrap_or_else(|e| panic!("{strategy:?} pruning={pruning}: {e}"));
             assert!(out.modularity > 0.0, "{strategy:?} pruning={pruning}");
@@ -79,7 +87,7 @@ fn incremental_modularity_resyncs_under_faults() {
 fn different_seeds_draw_different_schedules() {
     let g = test_graph();
     let cfg = cfg();
-    let (da, db) = (faulty_device(1), faulty_device(2));
+    let (da, db) = (faulty_device(plan(1)), faulty_device(plan(2)));
     louvain_gpu(&da, &g, &cfg).expect("seed 1");
     louvain_gpu(&db, &g, &cfg).expect("seed 2");
     assert_ne!(da.fault_stats(), db.fault_stats());
@@ -94,7 +102,7 @@ fn completes_under_faults_with_modularity_within_5_percent() {
     // require that a healthy number of schedules actually injected.
     let mut injected_runs = 0;
     for seed in 1u64..=12 {
-        let dev = faulty_device(seed);
+        let dev = faulty_device(plan(seed));
         let res = louvain_gpu(&dev, &g, &cfg)
             .unwrap_or_else(|e| panic!("seed {seed} failed to recover: {e}"));
         if dev.fault_stats().injected() > 0 {
@@ -116,10 +124,7 @@ fn recoveries_are_counted() {
     // detected, and the run only succeeds if each one was later recovered.
     let g = test_graph();
     let cfg = cfg();
-    let p = FaultPlan::seeded(7).with_abort_rate(0.01).with_stuck_rate(0.005);
-    let dev = Device::new(
-        DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented).with_fault_plan(p),
-    );
+    let dev = faulty_device(launch_plan(7));
     louvain_gpu(&dev, &g, &cfg).expect("should recover");
     let stats = dev.fault_stats();
     assert!(stats.injected() > 0);
@@ -224,23 +229,69 @@ fn multi_gpu_survives_a_hopeless_device_via_fallback() {
 #[test]
 fn exhausted_retries_surface_as_stage_failed() {
     let g = test_graph();
-    let dev = Device::new(
-        DeviceConfig::tesla_k40m()
-            .with_profile(Profile::Instrumented)
-            .with_fault_plan(FaultPlan::seeded(1).with_abort_rate(1.0)),
-    );
-    let err =
-        louvain_gpu(&dev, &g, &GpuLouvainConfig::paper_default()).expect_err("every launch aborts");
-    match err {
-        GpuLouvainError::StageFailed { stage, attempts, cause } => {
-            assert_eq!(stage, 0);
-            assert_eq!(attempts, GpuLouvainConfig::paper_default().retry.max_attempts);
-            assert!(matches!(*cause, GpuLouvainError::Launch(_)), "cause {cause:?}");
+    let cfg = GpuLouvainConfig::paper_default();
+    for algorithm in Algorithm::ALL {
+        let dev = Device::new(
+            DeviceConfig::tesla_k40m()
+                .with_profile(Profile::Instrumented)
+                .with_fault_plan(FaultPlan::seeded(1).with_abort_rate(1.0)),
+        );
+        let err = detect_communities(&dev, &g, &cfg, algorithm).expect_err("every launch aborts");
+        match err {
+            GpuLouvainError::StageFailed { stage, attempts, cause } => {
+                assert_eq!(stage, 0, "{algorithm}");
+                assert_eq!(attempts, cfg.retry.max_attempts, "{algorithm}");
+                assert!(matches!(*cause, GpuLouvainError::Launch(_)), "{algorithm}: {cause:?}");
+            }
+            other => panic!("{algorithm}: expected StageFailed, got {other:?}"),
         }
-        other => panic!("expected StageFailed, got {other:?}"),
+        let stats = dev.fault_stats();
+        assert!(stats.detected >= stats.recovered, "{algorithm}");
     }
-    let stats = dev.fault_stats();
-    assert!(stats.detected >= stats.recovered);
+}
+
+/// Runs `run` fault-free and then on ten launch-faulty devices: every
+/// faulty run must complete with the fault-free labels and Q bits and
+/// detect every fault it was dealt.
+fn assert_recovers_exactly(name: &str, run: impl Fn(&Device) -> GpuLouvainResult) {
+    let clean = run(&Device::k40m());
+    let mut injected = 0;
+    for seed in 0u64..10 {
+        let dev = faulty_device(launch_plan(seed));
+        let res = run(&dev);
+        assert_eq!(res.partition.as_slice(), clean.partition.as_slice(), "{name} seed {seed}");
+        assert_eq!(res.modularity.to_bits(), clean.modularity.to_bits(), "{name} seed {seed}");
+        let faults = dev.fault_stats();
+        assert_eq!(faults.detected, faults.injected(), "{name} seed {seed}: {faults:?}");
+        injected += faults.injected();
+    }
+    assert!(injected > 0, "{name}: no seed injected a fault");
+}
+
+#[test]
+fn every_algorithm_recovers_the_fault_free_answer() {
+    let g = test_graph();
+    let cfg = cfg();
+    for algorithm in Algorithm::ALL {
+        assert_recovers_exactly(algorithm.label(), |dev| {
+            detect_communities(dev, &g, &cfg, algorithm)
+                .unwrap_or_else(|e| panic!("{algorithm} failed to recover: {e}"))
+        });
+    }
+}
+
+#[test]
+fn warm_start_recovers_the_fault_free_answer() {
+    let g = test_graph();
+    let cfg = cfg();
+    let seed = louvain_gpu(&Device::k40m(), &g, &cfg).expect("seed run");
+    let batch = community_gpu::workloads::churn(&g, 11, 0.05);
+    let (patched, touched) =
+        community_gpu::graph::apply_delta(&g, &batch).expect("churn batches apply cleanly");
+    assert_recovers_exactly("warm start", |dev| {
+        community_gpu::core::louvain_warm_start(dev, &patched, &cfg, &seed.partition, &touched)
+            .unwrap_or_else(|e| panic!("warm start failed to recover: {e}"))
+    });
 }
 
 // ---- degenerate inputs through both public entry points -------------------
@@ -271,7 +322,7 @@ fn degenerate_graphs() -> Vec<(&'static str, Csr)> {
 fn degenerate_inputs_never_panic_single_gpu() {
     for (name, g) in degenerate_graphs() {
         for seed in [0u64, 9] {
-            let dev = if seed == 0 { Device::k40m() } else { faulty_device(seed) };
+            let dev = if seed == 0 { Device::k40m() } else { faulty_device(plan(seed)) };
             let res = louvain_gpu(&dev, &g, &cfg())
                 .unwrap_or_else(|e| panic!("{name} (seed {seed}): {e}"));
             assert_eq!(res.partition.len(), g.num_vertices(), "{name}");
