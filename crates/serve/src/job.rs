@@ -192,6 +192,16 @@ pub enum Rejected {
         /// Human-readable rendering of the typed delta error.
         reason: String,
     },
+    /// Rebuilding a delta's base from its registered (parent, batch) recipe
+    /// failed. Every batch in the recipe applied to the same parent once
+    /// already, so this reports a broken server invariant rather than a
+    /// bad request; nothing was queued.
+    BaseReplayFailed {
+        /// The registry hash of the base that could not be rebuilt.
+        base: u64,
+        /// Human-readable rendering of the typed delta error.
+        reason: String,
+    },
     /// The graph exceeds the 32-bit vertex id space of the kernels; no
     /// device or degradation path could ever run it.
     TooManyVertices(usize),
@@ -221,6 +231,9 @@ impl std::fmt::Display for Rejected {
             }
             Rejected::InvalidDelta { reason } => {
                 write!(f, "delta does not apply to its base: {reason}")
+            }
+            Rejected::BaseReplayFailed { base, reason } => {
+                write!(f, "rebuilding delta base {base:#x} from its recipe failed: {reason}")
             }
             Rejected::TooManyVertices(n) => {
                 write!(f, "{n} vertices exceed the 32-bit vertex id space")

@@ -224,6 +224,12 @@ pub struct ServeMetrics {
     pub cache_entries: usize,
     /// Live cache bytes.
     pub cache_bytes: usize,
+    /// Bytes of the distinct graphs the server holds: the graphs passed to
+    /// [`crate::Server::submit`] that it keeps as delta bases, plus the
+    /// graphs of jobs that have not settled, each allocation counted once.
+    /// A settled job holds no graph, and a delta job's patched graph is
+    /// kept as a delta base only as its (parent, batch) recipe.
+    pub retained_graph_bytes: usize,
     /// Per-device-slot accounting.
     pub devices: Vec<DeviceSlotStats>,
 }

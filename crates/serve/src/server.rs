@@ -45,7 +45,7 @@ use cd_core::{
 };
 use cd_gpusim::{Device, DeviceConfig};
 use cd_graph::{apply_delta, Csr, DeltaBatch};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -137,7 +137,9 @@ struct WarmContext {
 }
 
 struct JobState {
-    graph: Arc<Csr>,
+    /// The graph the job runs on, held only while the job can still run:
+    /// [`Inner::finalize`] drops it.
+    graph: Option<Arc<Csr>>,
     options: JobOptions,
     key: CacheKey,
     footprint: usize,
@@ -158,10 +160,24 @@ struct JobState {
     promote_key: Option<CacheKey>,
 }
 
+/// A graph a delta can name as its base, as the registry holds it.
+#[derive(Clone)]
+enum GraphBase {
+    /// A graph passed to [`Server::submit`], held as given.
+    Graph(Arc<Csr>),
+    /// A delta job's patched graph, held as the recipe that rebuilds it:
+    /// the registry hash of its base and the batch applied to that base.
+    /// `apply_delta` is deterministic, so a replay is bit-identical to the
+    /// original patch.
+    Patched { parent: u64, batch: Arc<DeltaBatch> },
+}
+
 /// Everything a submission resolved before admission: the (possibly
-/// patched) graph, its content key, and the optional warm-start material.
+/// patched) graph, its content key, how the registry holds it, and the
+/// optional warm-start material.
 struct ProtoJob {
     graph: Arc<Csr>,
+    base: GraphBase,
     options: JobOptions,
     key: CacheKey,
     footprint: usize,
@@ -185,10 +201,14 @@ struct Inner {
     cache: ResultCache,
     inflight: HashMap<CacheKey, InFlight>,
     /// Graphs a delta can reference as its base, by every hash they answer
-    /// to: the structural hash of each submitted graph, and both the
-    /// chained and structural hashes of each delta job's patched graph.
-    /// Retained for the server lifetime, like the job table.
-    bases: HashMap<u64, Arc<Csr>>,
+    /// to: the structural hash of each submitted graph (held as a graph),
+    /// and both the chained and structural hashes of each delta job's
+    /// patched graph (held as its recipe). The first registration of a
+    /// hash stands and entries are never removed, so every recipe names a
+    /// parent registered before it and the parent links always end at a
+    /// submitted graph. Entries are kept for the server lifetime, like the
+    /// job table.
+    bases: HashMap<u64, GraphBase>,
     metrics: MetricsState,
     next_id: u64,
     shutting_down: bool,
@@ -212,6 +232,9 @@ impl Inner {
         let status = outcome.status();
         job.status = status;
         job.outcome = Some(outcome);
+        // A settled job never runs again: release what only a run needs.
+        job.graph = None;
+        job.warm = None;
         let total = job.submitted_at.elapsed();
         match status {
             JobStatus::Completed => self.metrics.completed += 1,
@@ -221,6 +244,46 @@ impl Inner {
             JobStatus::Queued | JobStatus::Running => unreachable!("terminal outcomes only"),
         }
         self.metrics.record_total(total);
+    }
+
+    /// Resolves a registered base hash to the nearest submitted graph up
+    /// its parent links and the batches that rebuild the base from it, in
+    /// application order. `None` for an unregistered hash.
+    fn base_recipe(&self, mut hash: u64) -> Option<(Arc<Csr>, Vec<Arc<DeltaBatch>>)> {
+        let mut batches = Vec::new();
+        loop {
+            match self.bases.get(&hash)? {
+                GraphBase::Graph(g) => {
+                    batches.reverse();
+                    return Some((Arc::clone(g), batches));
+                }
+                GraphBase::Patched { parent, batch } => {
+                    batches.push(Arc::clone(batch));
+                    hash = *parent;
+                }
+            }
+        }
+    }
+
+    /// Bytes of the distinct graphs the server holds: the submitted graphs
+    /// in the base registry plus the graphs of unsettled jobs, each
+    /// allocation counted once.
+    fn retained_graph_bytes(&self) -> usize {
+        let submitted = self.bases.values().filter_map(|b| match b {
+            GraphBase::Graph(g) => Some(g),
+            GraphBase::Patched { .. } => None,
+        });
+        let running = self.jobs.values().filter_map(|j| j.graph.as_ref());
+        let mut seen = HashSet::new();
+        submitted
+            .chain(running)
+            .filter(|g| seen.insert(Arc::as_ptr(g)))
+            .map(|g| {
+                std::mem::size_of_val(g.offsets())
+                    + std::mem::size_of_val(g.targets())
+                    + std::mem::size_of_val(g.weights())
+            })
+            .sum()
     }
 
     /// After a leader terminated without a result, promotes the first live
@@ -402,7 +465,7 @@ fn execute(shared: &Shared, mut inner: MutexGuard<'_, Inner>, id: JobId, placeme
         let job = inner.jobs.get_mut(&id).expect("placed job has state");
         job.status = JobStatus::Running;
         (
-            Arc::clone(&job.graph),
+            Arc::clone(job.graph.as_ref().expect("an unsettled job holds its graph")),
             job.options,
             job.key,
             job.footprint,
@@ -792,6 +855,7 @@ impl Server {
         self.admit(
             inner,
             ProtoJob {
+                base: GraphBase::Graph(Arc::clone(&graph)),
                 graph,
                 options,
                 key,
@@ -806,6 +870,10 @@ impl Server {
 
     /// Submits an *incremental* job: the base graph — named by a prior job
     /// or a registered graph hash — with `batch` applied.
+    ///
+    /// A base that is itself a delta job's patched graph is not held as a
+    /// graph: the server keeps its (parent, batch) recipe and rebuilds it
+    /// here, one `apply_delta` per link above the nearest submitted graph.
     ///
     /// The job's content key chains the base's graph hash with the batch
     /// hash ([`crate::chained_graph_hash`]), so a resubmitted delta chain
@@ -831,29 +899,24 @@ impl Server {
         batch: &DeltaBatch,
         options: JobOptions,
     ) -> Result<JobId, Rejected> {
-        // Resolve the base under the lock; patch outside it — applying a
-        // delta is O(graph) work that must not serialize the service.
-        let (base_hash, base_graph, seed) = {
+        // Resolve the base's recipe under the lock; replay it and patch
+        // outside it — applying a delta is O(graph) work that must not
+        // serialize the service.
+        let (base_hash, root, replay, seed) = {
             let mut inner = self.shared.lock();
             if inner.shutting_down {
                 inner.metrics.rejected += 1;
                 return Err(Rejected::ShuttingDown);
             }
-            let (base_hash, base_graph) = match base {
-                DeltaBase::Job(id) => match inner.jobs.get(&id) {
-                    Some(j) => (j.key.graph, Arc::clone(&j.graph)),
-                    None => {
-                        inner.metrics.rejected += 1;
-                        return Err(Rejected::UnknownBase { base: id.as_u64() });
-                    }
-                },
-                DeltaBase::Graph(h) => match inner.bases.get(&h) {
-                    Some(g) => (h, Arc::clone(g)),
-                    None => {
-                        inner.metrics.rejected += 1;
-                        return Err(Rejected::UnknownBase { base: h });
-                    }
-                },
+            let (hash, unknown) = match base {
+                DeltaBase::Job(id) => (inner.jobs.get(&id).map(|j| j.key.graph), id.as_u64()),
+                DeltaBase::Graph(h) => (Some(h), h),
+            };
+            let Some((base_hash, (root, replay))) =
+                hash.and_then(|h| Some((h, inner.base_recipe(h)?)))
+            else {
+                inner.metrics.rejected += 1;
+                return Err(Rejected::UnknownBase { base: unknown });
             };
             // Warm seed: the base's result under the same semantic options
             // (the key carries the algorithm, so a Louvain job can only be
@@ -876,9 +939,21 @@ impl Server {
             } else {
                 None
             };
-            (base_hash, base_graph, seed)
+            (base_hash, root, replay, seed)
         };
 
+        // Every replayed batch applied to the same parent once already, so
+        // a failure here is a broken registry invariant, not a bad request.
+        let base_graph = match replay
+            .iter()
+            .try_fold(root, |g, link| apply_delta(&g, link).map(|(p, _)| Arc::new(p)))
+        {
+            Ok(g) => g,
+            Err(e) => {
+                self.shared.lock().metrics.rejected += 1;
+                return Err(Rejected::BaseReplayFailed { base: base_hash, reason: e.to_string() });
+            }
+        };
         let (patched, touched) = match apply_delta(&base_graph, batch) {
             Ok(v) => v,
             Err(e) => {
@@ -909,6 +984,7 @@ impl Server {
             inner,
             ProtoJob {
                 graph: patched,
+                base: GraphBase::Patched { parent: base_hash, batch: Arc::new(batch.clone()) },
                 options,
                 key,
                 footprint,
@@ -925,17 +1001,17 @@ impl Server {
     /// deadline and SLO gates, then the bounded queue. Consumes the lock
     /// guard and performs its own condvar notifications.
     fn admit(&self, mut inner: MutexGuard<'_, Inner>, proto: ProtoJob) -> Result<JobId, Rejected> {
-        let ProtoJob { graph, options, key, footprint, now, deadline_at, warm, promote_key } =
+        let ProtoJob { graph, base, options, key, footprint, now, deadline_at, warm, promote_key } =
             proto;
         // Register the graph as a delta base under every hash it answers
         // to — even for submissions the gates below reject, so a client can
         // chain off a base whose own job was shed.
-        inner.bases.entry(key.graph).or_insert_with(|| Arc::clone(&graph));
+        inner.bases.entry(key.graph).or_insert_with(|| base.clone());
         if let Some(pk) = promote_key {
-            inner.bases.entry(pk.graph).or_insert_with(|| Arc::clone(&graph));
+            inner.bases.entry(pk.graph).or_insert(base);
         }
         let state = |status, outcome| JobState {
-            graph: Arc::clone(&graph),
+            graph: Some(Arc::clone(&graph)),
             options,
             key,
             footprint,
@@ -1178,6 +1254,7 @@ impl Server {
             cache: inner.cache.stats(),
             cache_entries: inner.cache.entries(),
             cache_bytes: inner.cache.bytes(),
+            retained_graph_bytes: inner.retained_graph_bytes(),
             devices: inner.pool.slot_stats(),
         }
     }
@@ -1210,5 +1287,39 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cd_graph::{DeltaBuilder, GraphBuilder};
+
+    #[test]
+    fn a_recipe_that_does_not_replay_is_a_typed_rejection() {
+        let server = Server::new(ServerConfig::test_manual());
+        let n = 8;
+        let mut b = GraphBuilder::new(n);
+        for v in 0..n as u32 {
+            b.add_edge(v, (v + 1) % n as u32, 1.0);
+        }
+        let ring = Arc::new(b.build());
+        let opts = JobOptions::default();
+        server.submit(Arc::clone(&ring), opts).unwrap();
+        server.run_until_idle();
+
+        // Break the registry invariant: a recipe whose batch deletes an
+        // edge its parent does not have.
+        let mut broken = DeltaBuilder::new(n);
+        broken.delete(0, 4).unwrap();
+        let parent = crate::hash::structural_hash(&ring);
+        let recipe = GraphBase::Patched { parent, batch: Arc::new(broken.build()) };
+        server.shared.lock().bases.insert(7, recipe);
+
+        let mut next = DeltaBuilder::new(n);
+        next.insert(0, 4, 1.0).unwrap();
+        let err = server.submit_delta(DeltaBase::Graph(7), &next.build(), opts).unwrap_err();
+        assert!(matches!(err, Rejected::BaseReplayFailed { base: 7, .. }), "got {err:?}");
+        assert_eq!(server.metrics().rejected, 1);
     }
 }

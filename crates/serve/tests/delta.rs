@@ -3,7 +3,10 @@
 //! delta keys. All in manual mode for deterministic interleavings.
 
 use cd_graph::{gen::cliques, Csr, DeltaBatch, DeltaBuilder, GraphBuilder, VertexId};
-use cd_serve::{DeltaBase, ExecPath, JobOptions, JobOutcome, Rejected, Server, ServerConfig};
+use cd_serve::{
+    chained_graph_hash, delta_hash, structural_hash, DeltaBase, ExecPath, JobOptions, JobOutcome,
+    Rejected, Server, ServerConfig,
+};
 use std::sync::Arc;
 
 fn ring(n: usize) -> Arc<Csr> {
@@ -243,4 +246,115 @@ fn cliques_delta_improves_quality_not_just_speed() {
         warm.modularity,
         scratch.modularity
     );
+}
+
+/// Bytes of a graph's CSR arrays, as `ServeMetrics::retained_graph_bytes`
+/// counts them.
+fn csr_bytes(g: &Csr) -> usize {
+    std::mem::size_of_val(g.offsets())
+        + std::mem::size_of_val(g.targets())
+        + std::mem::size_of_val(g.weights())
+}
+
+/// Link `k` of a serial chain on a ring of `n` vertices: one new chord.
+fn chord(n: usize, k: usize) -> DeltaBatch {
+    let mut b = DeltaBuilder::new(n);
+    b.insert(k as VertexId, (k + n / 2) as VertexId, 1.0 + k as f64 / 4.0).unwrap();
+    b.build()
+}
+
+#[test]
+fn settled_jobs_release_their_graph() {
+    let server = manual();
+    let graph = ring(32);
+    let opts = JobOptions::default();
+    let ids: Vec<_> = (0..10).map(|_| server.submit(Arc::clone(&graph), opts).unwrap()).collect();
+    server.run_until_idle();
+    for id in ids {
+        completed(&server, id);
+    }
+    // The client's handle plus the base registry: no settled job holds it.
+    assert_eq!(Arc::strong_count(&graph), 2);
+    assert_eq!(server.metrics().retained_graph_bytes, csr_bytes(&graph));
+}
+
+#[test]
+fn retained_graph_bytes_stay_at_the_submitted_graphs_under_delta_soak() {
+    let server = Server::new(ServerConfig { queue_capacity: 256, ..ServerConfig::test_manual() });
+    let n = 64;
+    let graph = ring(n);
+    let opts = JobOptions::default();
+    let base = server.submit(Arc::clone(&graph), opts).unwrap();
+    server.run_until_idle();
+    let base_bytes = csr_bytes(&graph);
+
+    // Fan-out: 200 distinct deltas off the one base, all queued at once.
+    let fan: Vec<_> = (0..200)
+        .map(|i| {
+            let mut b = DeltaBuilder::new(n);
+            b.insert(0, (n / 2) as VertexId, 2.0 + i as f64 / 8.0).unwrap();
+            server.submit_delta(DeltaBase::Job(base), &b.build(), opts).unwrap()
+        })
+        .collect();
+    assert!(server.metrics().retained_graph_bytes > base_bytes, "queued deltas hold graphs");
+    server.run_until_idle();
+    for id in fan {
+        completed(&server, id);
+    }
+    assert_eq!(server.metrics().retained_graph_bytes, base_bytes);
+
+    // Serial chain: each link is based on the previous one after it
+    // settled, so every link's base is rebuilt from recipes.
+    let (mut prev, mut patched) = (base, (*graph).clone());
+    for k in 0..20 {
+        let batch = chord(n, k);
+        let id = server.submit_delta(DeltaBase::Job(prev), &batch, opts).unwrap();
+        patched = cd_graph::apply_delta(&patched, &batch).unwrap().0;
+        assert_eq!(
+            server.metrics().retained_graph_bytes,
+            base_bytes + csr_bytes(&patched),
+            "the queued link holds exactly its own patched graph"
+        );
+        server.run_until_idle();
+        completed(&server, id);
+        prev = id;
+    }
+    server.run_until_idle();
+    assert_eq!(server.metrics().retained_graph_bytes, base_bytes);
+    assert_eq!(Arc::strong_count(&graph), 2, "the client plus the registry");
+}
+
+#[test]
+fn replayed_chain_links_are_bit_identical_to_cold_patches() {
+    let server = manual();
+    let n = 48;
+    let opts = JobOptions::default();
+    let mut graph = ring(n);
+    let base = server.submit(Arc::clone(&graph), opts).unwrap();
+    server.run_until_idle();
+
+    // Alternate naming the previous link by job id and by its chained
+    // hash; each link is submitted after the previous one settled, so its
+    // base exists only as a recipe and is replayed.
+    let (mut prev_job, mut prev_hash) = (base, structural_hash(&graph));
+    for k in 0..6 {
+        let batch = chord(n, k);
+        let link = if k % 2 == 0 { DeltaBase::Job(prev_job) } else { DeltaBase::Graph(prev_hash) };
+        let id = server.submit_delta(link, &batch, opts).unwrap();
+        server.run_until_idle();
+        let (result, path) = completed(&server, id);
+        assert!(!path.is_shared(), "link {k} computes: {path:?}");
+
+        // Patch independently; the cold submission hits the promoted entry.
+        graph = Arc::new(cd_graph::apply_delta(&graph, &batch).unwrap().0);
+        let cold = server.submit(Arc::clone(&graph), opts).unwrap();
+        server.run_until_idle();
+        match server.await_result(cold) {
+            JobOutcome::Completed { result: r, path: ExecPath::CacheHit } => {
+                assert!(Arc::ptr_eq(&r, &result), "link {k}: the same Arc");
+            }
+            other => panic!("link {k}: cold submission of the patched graph missed: {other:?}"),
+        }
+        (prev_job, prev_hash) = (id, chained_graph_hash(prev_hash, delta_hash(&batch)));
+    }
 }
