@@ -5,60 +5,13 @@
 //! ```text
 //! repro <experiment> [--scale tiny|small|medium|large|huge] [--out DIR]
 //!                    [--profile instrumented|racecheck|parallel] [--clients N]
-//!
-//! experiments:
-//!   table1    graphs, sequential vs GPU times and modularity
-//!   fig1-2    threshold grid: relative modularity and speedup
-//!   fig3-4    speedup vs original and adaptive sequential
-//!   fig5-6    per-stage breakdown (road network, KKT graph)
-//!   fig7      GPU vs CPU-parallel (OpenMP-style) Louvain
-//!   relaxed   relaxed vs per-bucket community updates
-//!   plm       comparison with PLM on the four common graphs
-//!   teps      first-iteration traversed-edges-per-second rates
-//!   profile   kernel utilization counters (nvprof analogue)
-//!   ablation  degree binning & hash placement ablations
-//!   buckets   degree-bucket census of the workloads (Section 4.1)
-//!   multigpu  coarse-grained multi-device extension (Section 6)
-//!   schedule  multi-level threshold schedules (Section 6)
-//!   faults    fault-injection sweep and multi-device failover
-//!   opt-bench perf snapshot of the optimization hot loop (BENCH_opt.json)
-//!   backend   Instrumented vs native-Parallel execution profiles, Parallel
-//!             at 1 and N worker threads (BENCH_backend.json; exits nonzero
-//!             if any backend diverges from Instrumented)
-//!   racecheck full-pipeline hazard sweep under the race detector
-//!             (BENCH_racecheck.json; exits nonzero on any hazard)
-//!   serve     closed-loop load test of the cd-serve service: seeded suite
-//!             trace at --clients concurrency, replayed twice plus a
-//!             warm-start replay from a cache snapshot
-//!             (BENCH_serve.json; exits nonzero on any lost/duplicated job,
-//!             failed run, nondeterministic replay, or impure warm restart)
-//!   overload  open-loop Poisson-arrival load test: calibrates service
-//!             time, sweeps arrival rates to locate the saturation knee,
-//!             measures 1×/2×/5× knee (BENCH_overload.json; exits nonzero
-//!             on any lost/duplicated job or failed run)
-//!   incremental  edge-churn sweep (0.01%–10%) over the featured suite:
-//!             warm-start Louvain vs from-scratch wall time and ΔQ
-//!             (BENCH_incremental.json; at medium scale and above, exits
-//!             nonzero if the warm-start quality deficit exceeds
-//!             max(1e-3, the graph's measured cold-run dispersion) on any
-//!             cell, or the median small-churn speedup falls below 3× —
-//!             smaller scales report both informationally)
-//!   dist      partitioned out-of-core execution (cd-dist): every featured
-//!             workload sharded across devices too small to hold it, gated
-//!             on the single-device oracle's dispersion band, plus a
-//!             {2,4} shards × {1,8} threads bit-identity matrix on a
-//!             dedicated RMAT graph — tens of millions of arcs at
-//!             --scale huge (BENCH_dist.json; exits nonzero on any lost
-//!             ghost label, ownership violation, or cross-configuration
-//!             divergence)
-//!   portfolio algorithm portfolio (Louvain, Leiden, sync/async LPA) over
-//!             the whole suite: modularity, NMI vs planted truth (or vs the
-//!             Louvain partition where no truth exists), and wall time per
-//!             cell (BENCH_portfolio.json; exits nonzero on any non-finite
-//!             NMI or any Leiden stage whose refinement pass lost
-//!             modularity — the commit-rule invariant)
-//!   all       everything above
 //! ```
+//!
+//! `repro --help` lists the experiments (the `EXPERIMENTS` table below);
+//! `all` runs every one in table order and stops at the first that fails.
+//! An experiment that writes a `BENCH_*.json` snapshot fails — exit code 1,
+//! one `error:` line per failed gate — when the file cannot be written or
+//! one of its gates does not hold.
 //!
 //! `--profile` selects the execution profile for the GPU runs (default:
 //! `CD_GPUSIM_PROFILE`, instrumented if unset; every profile honours
@@ -67,25 +20,51 @@
 //! uninstrumented profiles rather than report zero model times; `backend`
 //! and `racecheck` pin their profiles themselves.
 
-use cd_bench::experiments;
+use cd_bench::experiments::*;
+use cd_bench::snapshot::Outcome;
 use cd_gpusim::Profile;
 use cd_workloads::Scale;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use Run::{Csv, Serve, Snapshot};
 
-/// Experiments that stay meaningful under the uninstrumented `Parallel`
-/// profile — they either run no GPU kernels, quote only quality numbers, or
-/// (like `backend`) pin their profiles themselves. Everything else quotes the
-/// instrumented cost model and would report zeros.
-const PARALLEL_SAFE: [&str; 9] = [
-    "backend",
-    "buckets",
-    "multigpu",
-    "racecheck",
-    "serve",
-    "overload",
-    "incremental",
-    "portfolio",
-    "dist",
+/// How an experiment is invoked.
+enum Run {
+    /// Prints tables and saves CSVs.
+    Csv(fn(Scale, &Path)),
+    /// Writes a `BENCH_*.json` snapshot and can fail a gate.
+    Snapshot(fn(Scale, &Path) -> Outcome),
+    /// Like `Snapshot`, also taking the `--clients` count.
+    Serve(fn(Scale, &Path, usize) -> Outcome),
+}
+
+/// Every experiment: (name, how to run it, whether it stays meaningful under
+/// an uninstrumented profile, one-line help). Parallel-safe experiments run
+/// no GPU kernels, quote only quality numbers, or pin their profiles
+/// themselves; the rest quote the instrumented cost model and would report
+/// zeros.
+const EXPERIMENTS: [(&str, Run, bool, &str); 22] = [
+    ("table1", Csv(table1), false, "graphs, sequential vs GPU times and modularity"),
+    ("fig1-2", Csv(fig1_2), false, "threshold grid: relative modularity and speedup"),
+    ("fig3-4", Csv(fig3_4), false, "speedup vs original and adaptive sequential"),
+    ("fig5-6", Csv(fig5_6), false, "per-stage breakdown (road network, KKT graph)"),
+    ("fig7", Csv(fig7), false, "GPU vs CPU-parallel (OpenMP-style) Louvain"),
+    ("relaxed", Csv(relaxed), false, "relaxed vs per-bucket community updates"),
+    ("plm", Csv(plm), false, "comparison with PLM on the four common graphs"),
+    ("teps", Csv(teps), false, "first-iteration traversed-edges-per-second rates"),
+    ("profile", Csv(profile), false, "kernel utilization counters (nvprof analogue)"),
+    ("ablation", Csv(ablation), false, "degree binning & hash placement ablations"),
+    ("buckets", Csv(buckets), true, "degree-bucket census of the workloads (Section 4.1)"),
+    ("multigpu", Csv(multigpu), true, "coarse-grained multi-device extension (Section 6)"),
+    ("schedule", Csv(schedule), false, "multi-level threshold schedules (Section 6)"),
+    ("faults", Csv(faults), false, "fault-injection sweep and multi-device failover"),
+    ("opt-bench", Snapshot(opt_snapshot), false, "optimization hot-loop perf (BENCH_opt.json)"),
+    ("backend", Snapshot(backend_snapshot), true, "profiles agree bit-for-bit (BENCH_backend)"),
+    ("racecheck", Snapshot(racecheck_sweep), true, "zero race hazards (BENCH_racecheck.json)"),
+    ("serve", Serve(serve_snapshot), true, "closed-loop service replays (BENCH_serve.json)"),
+    ("overload", Snapshot(overload), true, "open-loop arrivals past the knee (BENCH_overload)"),
+    ("incremental", Snapshot(incremental), true, "warm start vs scratch (BENCH_incremental.json)"),
+    ("portfolio", Snapshot(portfolio), true, "Louvain/Leiden/LPA quality (BENCH_portfolio.json)"),
+    ("dist", Snapshot(dist), true, "sharded out-of-core execution (BENCH_dist.json)"),
 ];
 
 fn main() {
@@ -131,11 +110,19 @@ fn main() {
         }
         i += 1;
     }
-    if !profile.is_instrumented() && !PARALLEL_SAFE.contains(&experiment) {
+    let selected: Vec<_> = match experiment {
+        "all" => EXPERIMENTS.iter().collect(),
+        name => match EXPERIMENTS.iter().find(|e| e.0 == name) {
+            Some(e) => vec![e],
+            None => die(&format!("unknown experiment '{name}'")),
+        },
+    };
+    if !profile.is_instrumented() && selected.iter().any(|e| !e.2) {
+        let safe: Vec<_> = EXPERIMENTS.iter().filter(|e| e.2).map(|e| e.0).collect();
         die(&format!(
             "experiment '{experiment}' quotes the instrumented cost model and cannot run under \
              the {profile} profile; uninstrumented profiles support: {}",
-            PARALLEL_SAFE.join(", ")
+            safe.join(", ")
         ));
     }
     // Thread the selection through the device default: the stock
@@ -151,54 +138,21 @@ fn main() {
         out.display()
     );
     let t0 = std::time::Instant::now();
-    match experiment {
-        "table1" => experiments::table1(scale, &out),
-        "fig1-2" => experiments::fig1_2(scale, &out),
-        "fig3-4" => experiments::fig3_4(scale, &out),
-        "fig5-6" => experiments::fig5_6(scale, &out),
-        "fig7" => experiments::fig7(scale, &out),
-        "relaxed" => experiments::relaxed(scale, &out),
-        "plm" => experiments::plm(scale, &out),
-        "teps" => experiments::teps(scale, &out),
-        "profile" => experiments::profile(scale, &out),
-        "ablation" => experiments::ablation(scale, &out),
-        "buckets" => experiments::buckets(scale, &out),
-        "multigpu" => experiments::multigpu(scale, &out),
-        "schedule" => experiments::schedule(scale, &out),
-        "faults" => experiments::faults(scale, &out),
-        "opt-bench" => experiments::opt_snapshot(scale, &out),
-        "backend" => experiments::backend_snapshot(scale, &out),
-        "racecheck" => experiments::racecheck_sweep(scale, &out),
-        "serve" => experiments::serve_snapshot(scale, &out, clients),
-        "overload" => experiments::overload(scale, &out),
-        "incremental" => experiments::incremental(scale, &out),
-        "portfolio" => experiments::portfolio(scale, &out),
-        "dist" => experiments::dist(scale, &out),
-        "all" => {
-            experiments::table1(scale, &out);
-            experiments::fig1_2(scale, &out);
-            experiments::fig3_4(scale, &out);
-            experiments::fig5_6(scale, &out);
-            experiments::fig7(scale, &out);
-            experiments::relaxed(scale, &out);
-            experiments::plm(scale, &out);
-            experiments::teps(scale, &out);
-            experiments::profile(scale, &out);
-            experiments::ablation(scale, &out);
-            experiments::buckets(scale, &out);
-            experiments::multigpu(scale, &out);
-            experiments::schedule(scale, &out);
-            experiments::faults(scale, &out);
-            experiments::opt_snapshot(scale, &out);
-            experiments::backend_snapshot(scale, &out);
-            experiments::racecheck_sweep(scale, &out);
-            experiments::serve_snapshot(scale, &out, clients);
-            experiments::overload(scale, &out);
-            experiments::incremental(scale, &out);
-            experiments::portfolio(scale, &out);
-            experiments::dist(scale, &out);
+    for (_, run, _, _) in selected {
+        let outcome = match run {
+            Csv(f) => {
+                f(scale, &out);
+                Ok(())
+            }
+            Snapshot(f) => f(scale, &out),
+            Serve(f) => f(scale, &out, clients),
+        };
+        if let Err(errors) = outcome {
+            for e in errors {
+                eprintln!("error: {e}");
+            }
+            std::process::exit(1);
         }
-        other => die(&format!("unknown experiment '{other}'")),
     }
     println!("\n# done in {:?}", t0.elapsed());
 }
@@ -207,10 +161,17 @@ fn print_help() {
     println!(
         "repro — regenerate the paper's tables and figures\n\n\
          usage: repro <experiment> [--scale tiny|small|medium|large|huge] [--out DIR] [--profile instrumented|racecheck|parallel] [--clients N]\n\n\
-         experiments: table1, fig1-2, fig3-4, fig5-6, fig7, relaxed, plm, teps, profile, ablation, buckets, multigpu, schedule, faults, opt-bench, backend, racecheck, serve, overload, incremental, portfolio, dist, all\n\
+         experiments:"
+    );
+    for (name, _, _, help) in &EXPERIMENTS {
+        println!("  {name:<12}{help}");
+    }
+    println!(
+        "  {:<12}everything above, stopping at the first failure\n\n\
          default scale: small; outputs CSVs under DIR (default ./results)\n\
          default profile: CD_GPUSIM_PROFILE (instrumented if unset); cost-model experiments require instrumented\n\
-         --clients sets the serve load generator's concurrency (default 4)"
+         --clients sets the serve load generator's concurrency (default 4)",
+        "all"
     );
 }
 
@@ -218,4 +179,18 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     print_help();
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn experiment_names_are_unique() {
+        let mut names: Vec<_> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+        assert!(!names.contains(&"all"), "`all` is reserved for running the whole table");
+    }
 }

@@ -1,10 +1,15 @@
 //! One function per table/figure of the paper's evaluation (Section 5).
 //! Each prints the rows/series the paper reports and saves them as CSV.
+//! The `BENCH_*.json` snapshot experiments write through [`crate::snapshot`]
+//! and return its [`Outcome`]: `Err` lists every failed gate.
 
 use crate::report::{f4, ratio, secs, Table};
 use crate::runner::{
     run_cpu_parallel, run_gpu, run_gpu_on, run_gpu_parallel, run_gpu_profiled, run_plm, run_seq,
-    run_seq_adaptive,
+    run_seq_adaptive, GpuRun,
+};
+use crate::snapshot::{
+    best_of, create_out_dir, finish, gates, header, host_cores, obj, timed, Json, Outcome, REPS,
 };
 use cd_core::{GpuLouvainConfig, HashPlacement, ThreadAssignment, UpdateStrategy};
 use cd_gpusim::{DeviceConfig, Profile};
@@ -814,25 +819,24 @@ pub fn faults(scale: Scale, out: &Path) {
     let _ = t2.save_csv(out, "faults_multi");
 }
 
-/// Seed-commit opt-phase baselines at `Scale::Medium` on the CI reference
-/// machine, captured before the frontier-compacted-binning / incremental-
-/// modularity rewrite: `(graph, pruning) -> (opt wall seconds, modularity)`.
-/// Opt seconds use the *fastest* of the recorded seed runs, so the speedups
-/// reported against them are conservative.
-const OPT_SEED_BASELINE: [(&str, bool, f64, f64); 6] = [
-    ("road-usa", true, 0.2307, 0.971824739842166),
-    ("com-dblp", true, 0.2635, 0.777420695201181),
-    ("uk2002", true, 0.4825, 0.790712895127409),
-    ("road-usa", false, 0.2183, 0.971467410802857),
-    ("com-dblp", false, 0.2766, 0.777546390043285),
-    ("uk2002", false, 0.5646, 0.783957687851855),
+/// Seed-commit modularity at `Scale::Medium`, captured before the
+/// frontier-compacted-binning / incremental-modularity rewrite:
+/// `(graph, pruning, modularity)`. The opt-loop snapshot reports its drift
+/// from these as the Q reference.
+const OPT_SEED_MODULARITY: [(&str, bool, f64); 6] = [
+    ("road-usa", true, 0.971824739842166),
+    ("com-dblp", true, 0.777420695201181),
+    ("uk2002", true, 0.790712895127409),
+    ("road-usa", false, 0.971467410802857),
+    ("com-dblp", false, 0.777546390043285),
+    ("uk2002", false, 0.783957687851855),
 ];
 
 /// Perf snapshot of the modularity-optimization hot loop: wall time,
 /// launch/transaction counts and buffer-pool efficiency on a small fixed
 /// workload set, written as `BENCH_opt.json` (committed baseline at
 /// `Scale::Medium`, regenerated as a CI artifact on every push).
-pub fn opt_snapshot(scale: Scale, out: &Path) {
+pub fn opt_snapshot(scale: Scale, out: &Path) -> Outcome {
     let names = ["road-usa", "com-dblp", "uk2002"];
     let mut t = Table::new(
         format!("Opt-loop perf snapshot (scale: {scale:?})"),
@@ -840,6 +844,7 @@ pub fn opt_snapshot(scale: Scale, out: &Path) {
             "graph",
             "pruning",
             "opt[s]",
+            "spread[s]",
             "iters",
             "ms/iter",
             "launches",
@@ -847,27 +852,27 @@ pub fn opt_snapshot(scale: Scale, out: &Path) {
             "global txns",
             "pool hit %",
             "Q",
-            "opt speedup vs seed",
+            "|dQ| vs seed",
         ],
     );
-    let mut entries = String::new();
-    let mut speedups = Vec::new();
-    let mut max_drift = 0.0f64;
+    let mut workloads = Vec::new();
+    let mut max_drift: Option<f64> = None;
     for name in names {
         let built = build(by_name(name).unwrap(), scale);
         let g = &built.graph;
         for pruning in [true, false] {
             let mut cfg = gpu_cfg(scale);
             cfg.pruning = pruning;
-            // Best of three: the recorded seed baseline is also the fastest
-            // of its runs, so the speedup compares like statistics (single
-            // samples on a shared host are ±30% noise). Pinned instrumented:
-            // the launch/transaction/pool columns are instrumentation.
-            let run = (0..3)
-                .map(|_| run_gpu_profiled(g, &cfg, Profile::Instrumented))
-                .min_by_key(|r| r.result.opt_time())
-                .unwrap();
-            let opt_s = run.result.opt_time().as_secs_f64();
+            // Pinned instrumented: the launch/transaction/pool columns are
+            // instrumentation.
+            let [best] = best_of(
+                REPS,
+                [&mut || {
+                    let run = run_gpu_profiled(g, &cfg, Profile::Instrumented);
+                    (run.result.opt_time().as_secs_f64(), run)
+                }],
+            );
+            let run = &best.run;
             let iters: usize = run.result.stages.iter().map(|s| s.iterations).sum();
             let iter_ms: Vec<f64> = run
                 .result
@@ -880,88 +885,50 @@ pub fn opt_snapshot(scale: Scale, out: &Path) {
             let gtx = run.metrics.total().counters.global_transactions;
             let pool = *run.metrics.pool();
             let q = run.result.modularity;
-
-            // Compare with the recorded seed-commit baseline where one exists
-            // (medium scale only — the scale the acceptance gate runs at).
-            let baseline = (scale == Scale::Medium)
-                .then(|| OPT_SEED_BASELINE.iter().find(|b| b.0 == name && b.1 == pruning))
-                .flatten();
-            let speedup = baseline.map(|b| b.2 / opt_s.max(1e-12));
-            let drift = baseline.map(|b| (q - b.3).abs());
-            if let Some(s) = speedup {
-                speedups.push(s);
-            }
-            if let Some(d) = drift {
-                max_drift = max_drift.max(d);
-            }
+            // The seed Q reference exists at medium scale only.
+            let seed_q = (scale == Scale::Medium)
+                .then(|| OPT_SEED_MODULARITY.iter().find(|b| b.0 == name && b.1 == pruning))
+                .flatten()
+                .map(|b| b.2);
+            let drift = seed_q.map(|s| (q - s).abs());
 
             t.row(vec![
                 name.to_string(),
                 pruning.to_string(),
-                format!("{opt_s:.4}"),
+                format!("{:.4}", best.seconds),
+                format!("{:.4}", best.spread),
                 iters.to_string(),
-                format!("{:.3}", opt_s * 1e3 / iters.max(1) as f64),
+                format!("{:.3}", best.seconds * 1e3 / iters.max(1) as f64),
                 launches.to_string(),
                 copy_if.to_string(),
                 gtx.to_string(),
                 format!("{:.1}", 100.0 * pool.hit_rate()),
                 format!("{q:.12}"),
-                speedup.map_or("-".into(), ratio),
+                drift.map_or("-".into(), |d| format!("{d:.1e}")),
             ]);
-
-            if !entries.is_empty() {
-                entries.push(',');
+            let mut w = obj! {
+                "graph" => name, "pruning" => pruning, "vertices" => g.num_vertices(),
+                "arcs" => g.num_arcs(), "opt_seconds" => best.seconds,
+                "opt_seconds_spread" => best.spread, "iterations" => iters, "iter_ms" => iter_ms,
+                "kernel_launches" => launches, "copy_if_launches" => copy_if,
+                "global_transactions" => gtx, "pool_hit_rate" => pool.hit_rate(),
+                "pool_bytes_recycled" => pool.bytes_recycled, "modularity" => q,
+            };
+            if let (Some(s), Some(d)) = (seed_q, drift) {
+                max_drift = Some(max_drift.unwrap_or(0.0).max(d));
+                w.extend(obj! { "seed_modularity" => s, "modularity_drift" => d });
             }
-            entries.push_str(&format!(
-                "\n    {{\n      \"graph\": \"{name}\",\n      \"pruning\": {pruning},\n      \
-                 \"vertices\": {nv},\n      \"arcs\": {na},\n      \"opt_seconds\": {opt_s:.6},\n      \
-                 \"iterations\": {iters},\n      \"iter_ms\": [{iter_ms}],\n      \
-                 \"kernel_launches\": {launches},\n      \"copy_if_launches\": {copy_if},\n      \
-                 \"global_transactions\": {gtx},\n      \"pool_hit_rate\": {hit:.6},\n      \
-                 \"pool_bytes_recycled\": {recycled},\n      \"modularity\": {q:.15}{base}\n    }}",
-                nv = g.num_vertices(),
-                na = g.num_arcs(),
-                iter_ms = iter_ms.iter().map(|m| format!("{m:.4}")).collect::<Vec<_>>().join(","),
-                hit = pool.hit_rate(),
-                recycled = pool.bytes_recycled,
-                base = baseline.map_or(String::new(), |b| format!(
-                    ",\n      \"seed_opt_seconds\": {:.6},\n      \"seed_modularity\": {:.15},\n      \
-                     \"opt_speedup\": {:.4},\n      \"modularity_drift\": {:.3e}",
-                    b.2,
-                    b.3,
-                    b.2 / opt_s.max(1e-12),
-                    (q - b.3).abs()
-                )),
-            ));
+            workloads.push(w);
         }
     }
     t.print();
-    let summary = if speedups.is_empty() {
-        String::new()
-    } else {
-        let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-        println!(
-            "opt-phase speedup vs seed commit: min {} / geo-mean {}; max |ΔQ| = {max_drift:.3e} (gate: ≥1.5x and ≤1e-9)",
-            ratio(min),
-            ratio(geometric_mean(&speedups)),
-        );
-        format!(
-            ",\n  \"summary\": {{\n    \"min_opt_speedup\": {min:.4},\n    \
-             \"geo_mean_opt_speedup\": {:.4},\n    \"max_modularity_drift\": {max_drift:.3e}\n  }}",
-            geometric_mean(&speedups)
-        )
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"opt_snapshot\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m\",\n  \"profile\": \"{}\",\n  \"workloads\": [{entries}\n  ]{summary}\n}}\n",
-        Profile::Instrumented
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_opt.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    let mut json = header("opt_snapshot", scale, Profile::Instrumented);
+    json.extend(obj! { "device" => "tesla_k40m", "workloads" => workloads });
+    if let Some(d) = max_drift {
+        println!("max |ΔQ| vs seed commit = {d:.3e}");
+        json.extend(obj! { "summary" => obj! { "max_modularity_drift" => d } });
     }
+    finish(out, "BENCH_opt.json", &json, gates![])
 }
 
 /// Execution-backend comparison: the same workloads under the
@@ -969,12 +936,12 @@ pub fn opt_snapshot(scale: Scale, out: &Path) {
 /// native-`Parallel` profile at 1 thread and at the host's core count. All
 /// three runs must agree bit-for-bit on labels and modularity — the
 /// profiles differ only in what they *record* and *how blocks run* — and the
-/// process exits nonzero if they do not, which is the CI divergence gate.
+/// experiment fails if they do not, which is the CI divergence gate.
 /// The payoff is opt-phase wall time, written as `BENCH_backend.json`
 /// (committed baseline at `Scale::Medium`, regenerated as a CI artifact).
-pub fn backend_snapshot(scale: Scale, out: &Path) {
+pub fn backend_snapshot(scale: Scale, out: &Path) -> Outcome {
     let names = ["road-usa", "com-dblp", "uk2002"];
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     // The cost model does not depend on the thread count; pinning it keeps
     // the Instrumented column comparable across hosts and matched to
     // `parallel x1`.
@@ -1001,7 +968,7 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
             "labels",
         ],
     );
-    let mut entries = String::new();
+    let mut workloads = Vec::new();
     let mut par1_speedups = Vec::new();
     let mut parn_speedups = Vec::new();
     let mut max_drift = 0.0f64;
@@ -1014,69 +981,52 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
         for pruning in [true, false] {
             let mut cfg = gpu_cfg(scale);
             cfg.pruning = pruning;
-            // Best of three per backend, with the repetitions interleaved
-            // (I,P1,PN, I,P1,PN, ...) so slow ambient drift on the host
-            // lands on every backend equally instead of biasing whichever
-            // ran last.
-            let mut instr: Option<crate::runner::GpuRun> = None;
-            let mut par1: Option<crate::runner::GpuRun> = None;
-            let mut parn: Option<crate::runner::GpuRun> = None;
-            for _ in 0..3 {
-                for (run, best) in [
-                    (run_gpu_on(g, &cfg, instr_cfg.clone()), &mut instr),
-                    (run_gpu_parallel(g, &cfg, 1), &mut par1),
-                    (run_gpu_parallel(g, &cfg, par_n), &mut parn),
-                ] {
-                    if best.as_ref().is_none_or(|b| run.opt_wall() < b.opt_wall()) {
-                        *best = Some(run);
-                    }
-                }
-            }
-            let (instr, par1, parn) = (instr.unwrap(), par1.unwrap(), parn.unwrap());
-            let instr_s = instr.opt_wall().as_secs_f64();
-            let par1_s = par1.opt_wall().as_secs_f64();
-            let parn_s = parn.opt_wall().as_secs_f64();
-            let par1_speedup = instr_s / par1_s.max(1e-12);
-            let parn_speedup = instr_s / parn_s.max(1e-12);
+            let opt = |run: GpuRun| (run.opt_wall().as_secs_f64(), run);
+            let [instr, par1, parn] = best_of(
+                REPS,
+                [
+                    &mut || opt(run_gpu_on(g, &cfg, instr_cfg.clone())),
+                    &mut || opt(run_gpu_parallel(g, &cfg, 1)),
+                    &mut || opt(run_gpu_parallel(g, &cfg, par_n)),
+                ],
+            );
+            let par1_speedup = instr.seconds / par1.seconds.max(1e-12);
+            let parn_speedup = instr.seconds / parn.seconds.max(1e-12);
             par1_speedups.push(par1_speedup);
             parn_speedups.push(parn_speedup);
-            let refq = instr.result.modularity;
+            let refq = instr.run.result.modularity;
             let drift = [&par1, &parn]
                 .iter()
-                .map(|r| (refq - r.result.modularity).abs())
+                .map(|b| (refq - b.run.result.modularity).abs())
                 .fold(0.0f64, f64::max);
             max_drift = max_drift.max(drift);
-            let labels_identical = [&par1, &parn]
-                .iter()
-                .all(|r| r.result.partition.as_slice() == instr.result.partition.as_slice());
+            let labels_identical = [&par1, &parn].iter().all(|b| {
+                b.run.result.partition.as_slice() == instr.run.result.partition.as_slice()
+            });
             all_identical &= labels_identical && drift == 0.0;
             t.row(vec![
                 name.to_string(),
                 pruning.to_string(),
-                format!("{instr_s:.4}"),
-                format!("{par1_s:.4}"),
-                format!("{parn_s:.4}"),
+                format!("{:.4}", instr.seconds),
+                format!("{:.4}", par1.seconds),
+                format!("{:.4}", parn.seconds),
                 ratio(par1_speedup),
                 ratio(parn_speedup),
                 format!("{refq:.12}"),
                 if labels_identical { "identical".into() } else { "DIVERGED".into() },
             ]);
-            if !entries.is_empty() {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
-                "\n    {{\n      \"graph\": \"{name}\",\n      \"pruning\": {pruning},\n      \
-                 \"vertices\": {nv},\n      \"arcs\": {na},\n      \
-                 \"instrumented_opt_seconds\": {instr_s:.6},\n      \
-                 \"parallel1_opt_seconds\": {par1_s:.6},\n      \
-                 \"parallel{par_n}_opt_seconds\": {parn_s:.6},\n      \
-                 \"parallel1_speedup\": {par1_speedup:.4},\n      \
-                 \"parallel{par_n}_speedup\": {parn_speedup:.4},\n      \
-                 \"modularity\": {refq:.15},\n      \"modularity_drift\": {drift:.3e},\n      \
-                 \"labels_identical\": {labels_identical}\n    }}",
-                nv = g.num_vertices(),
-                na = g.num_arcs(),
-            ));
+            workloads.push(obj! {
+                "graph" => name, "pruning" => pruning, "vertices" => g.num_vertices(),
+                "arcs" => g.num_arcs(), "instrumented_opt_seconds" => instr.seconds,
+                "instrumented_opt_seconds_spread" => instr.spread,
+                "parallel1_opt_seconds" => par1.seconds,
+                "parallel1_opt_seconds_spread" => par1.spread,
+                format!("parallel{par_n}_opt_seconds") => parn.seconds,
+                format!("parallel{par_n}_opt_seconds_spread") => parn.spread,
+                "parallel1_speedup" => par1_speedup,
+                format!("parallel{par_n}_speedup") => parn_speedup, "modularity" => refq,
+                "modularity_drift" => drift, "labels_identical" => labels_identical,
+            });
         }
     }
     t.print();
@@ -1094,34 +1044,27 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
             "DIVERGED — backends disagree"
         },
     );
-    let json = format!(
-        "{{\n  \"experiment\": \"backend_snapshot\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m\",\n  \"host_cores\": {cores},\n  \
-         \"instrumented_threads\": {instr_threads},\n  \
-         \"parallel_threads\": {par_n},\n  \
-         \"profiles\": [\"{}\", \"{} x1\", \"{} x{par_n}\"],\n  \
-         \"workloads\": [{entries}\n  ],\n  \"summary\": {{\n    \
-         \"geo_mean_parallel1_speedup\": {gm_par1:.4},\n    \
-         \"geo_mean_parallel{par_n}_speedup\": {gm_parn:.4},\n    \
-         \"max_modularity_drift\": {max_drift:.3e},\n    \
-         \"all_labels_identical\": {all_identical}\n  }}\n}}\n",
-        Profile::Instrumented,
-        Profile::Parallel,
-        Profile::Parallel,
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_backend.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    if !all_identical {
-        eprintln!(
-            "error: backend snapshot found label or modularity divergence between \
-             execution profiles (see above)"
-        );
-        std::process::exit(1);
-    }
+    let mut json = header("backend_snapshot", scale, Profile::from_env());
+    json.extend(obj! {
+        "device" => "tesla_k40m", "instrumented_threads" => instr_threads,
+        "parallel_threads" => par_n,
+        "profiles" => vec![
+            Profile::Instrumented.to_string(),
+            format!("{} x1", Profile::Parallel),
+            format!("{} x{par_n}", Profile::Parallel),
+        ],
+        "workloads" => workloads,
+        "summary" => obj! {
+            "geo_mean_parallel1_speedup" => gm_par1,
+            format!("geo_mean_parallel{par_n}_speedup") => gm_parn,
+            "max_modularity_drift" => max_drift, "all_labels_identical" => all_identical,
+        },
+    });
+    let gates = gates![
+        all_identical => "backend snapshot found label or modularity divergence between \
+                          execution profiles (see above)",
+    ];
+    finish(out, "BENCH_backend.json", &json, gates)
 }
 
 /// Racecheck sweep: the full workload suite through the whole Louvain
@@ -1132,12 +1075,12 @@ pub fn backend_snapshot(scale: Scale, out: &Path) {
 /// bit-identical to the `Instrumented` profile. Hazards, if any, are printed
 /// verbatim. Written as `BENCH_racecheck.json` (regenerated as a CI artifact
 /// alongside the backend snapshot).
-pub fn racecheck_sweep(scale: Scale, out: &Path) {
+pub fn racecheck_sweep(scale: Scale, out: &Path) -> Outcome {
     let mut t = Table::new(
         format!("Racecheck — full-pipeline hazard sweep (scale: {scale:?})"),
         &["graph", "pruning", "|V|", "arcs", "Q", "labels", "race events", "reports"],
     );
-    let mut entries = String::new();
+    let mut workloads = Vec::new();
     let mut total_events = 0u64;
     let mut total_reports = 0usize;
     let mut all_identical = true;
@@ -1170,24 +1113,12 @@ pub fn racecheck_sweep(scale: Scale, out: &Path) {
                 events.to_string(),
                 reports.len().to_string(),
             ]);
-            if !entries.is_empty() {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
-                "\n    {{\n      \"graph\": \"{name}\",\n      \"pruning\": {pruning},\n      \
-                 \"vertices\": {nv},\n      \"arcs\": {na},\n      \
-                 \"race_events\": {events},\n      \"race_reports\": [{reps}],\n      \
-                 \"labels_identical\": {labels_identical},\n      \
-                 \"modularity_drift\": {drift:.3e}\n    }}",
-                name = spec.name,
-                nv = g.num_vertices(),
-                na = g.num_arcs(),
-                reps = reports
-                    .iter()
-                    .map(|r| format!("\n        {:?}", r.to_string()))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ));
+            workloads.push(obj! {
+                "graph" => spec.name, "pruning" => pruning, "vertices" => g.num_vertices(),
+                "arcs" => g.num_arcs(), "race_events" => events,
+                "race_reports" => reports.iter().map(|r| r.to_string()).collect::<Vec<_>>(),
+                "labels_identical" => labels_identical, "modularity_drift" => drift,
+            });
         }
     }
     t.print();
@@ -1204,28 +1135,20 @@ pub fn racecheck_sweep(scale: Scale, out: &Path) {
         },
     );
     println!("RACECHECK VERDICT: {}", if clean && all_identical { "clean" } else { "HAZARDS" });
-    let json = format!(
-        "{{\n  \"experiment\": \"racecheck_sweep\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m\",\n  \"profiles\": [\"{}\", \"{}\"],\n  \
-         \"workloads\": [{entries}\n  ],\n  \"summary\": {{\n    \
-         \"total_race_events\": {total_events},\n    \
-         \"total_race_reports\": {total_reports},\n    \
-         \"all_labels_identical\": {all_identical},\n    \
-         \"clean\": {ok}\n  }}\n}}\n",
-        Profile::Racecheck,
-        Profile::Instrumented,
-        ok = clean && all_identical,
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_racecheck.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    if !(clean && all_identical) {
-        eprintln!("error: racecheck sweep found hazards or divergent backends (see above)");
-        std::process::exit(1);
-    }
+    let mut json = header("racecheck_sweep", scale, Profile::from_env());
+    json.extend(obj! {
+        "device" => "tesla_k40m",
+        "profiles" => vec![Profile::Racecheck.to_string(), Profile::Instrumented.to_string()],
+        "workloads" => workloads,
+        "summary" => obj! {
+            "total_race_events" => total_events, "total_race_reports" => total_reports,
+            "all_labels_identical" => all_identical, "clean" => clean && all_identical,
+        },
+    });
+    let gates = gates![
+        clean && all_identical => "racecheck sweep found hazards or divergent backends (see above)",
+    ];
+    finish(out, "BENCH_racecheck.json", &json, gates)
 }
 
 /// `repro serve` — the serving layer under closed-loop load. Replays the
@@ -1237,10 +1160,9 @@ pub fn racecheck_sweep(scale: Scale, out: &Path) {
 /// identity), replay determinism (equal semantic digests), at least one
 /// pooled-path job (the oversized workload), and a pure-cache-hit warm
 /// replay (zero misses after restore).
-pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) {
+pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) -> Outcome {
     use cd_serve::{
-        run_trace, suggested_device_bytes, LatencyStats, Server, ServerConfig, TraceConfig,
-        TraceReport,
+        run_trace, suggested_device_bytes, Server, ServerConfig, TraceConfig, TraceReport,
     };
     use std::collections::HashMap;
 
@@ -1296,7 +1218,9 @@ pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) {
         trace.passes,
         1,
     );
-    std::fs::create_dir_all(out).ok();
+    // The cache snapshot lives next to the results, so the directory must
+    // exist before the second replay saves it.
+    create_out_dir(out).map_err(|e| vec![e])?;
     let a = replay(None, None);
     println!("serve: replay 2/3 (determinism check, snapshot at exit) …");
     let b = replay(None, Some(&snap_path));
@@ -1394,13 +1318,6 @@ pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) {
         if deterministic { "replays bit-identical" } else { "REPLAYS DIVERGED" },
     );
 
-    let lat_json = |l: &LatencyStats| {
-        format!(
-            "{{ \"count\": {}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"max_ms\": {:.3} }}",
-            l.count, l.mean_ms, l.p50_ms, l.p90_ms, l.p99_ms, l.max_ms
-        )
-    };
     println!(
         "serve: warm replay restored {} entries, {} misses, {} hits ({})",
         warm_restored,
@@ -1409,98 +1326,57 @@ pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) {
         if warm_pure { "pure cache" } else { "NOT PURE" },
     );
     let failed = m.failed + b.metrics.failed + c.metrics.failed;
-    let ok = a.lost == 0
-        && b.lost == 0
-        && c.lost == 0
-        && a.duplicated == 0
-        && b.duplicated == 0
-        && c.duplicated == 0
+    let ok = [&a, &b, &c].iter().all(|r| r.lost == 0 && r.duplicated == 0)
         && consistent
         && deterministic
         && failed == 0
         && pooled_exercised
         && sharded_exercised
         && warm_pure;
-    let json = format!(
-        "{{\n  \"experiment\": \"serve_snapshot\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m\",\n  \"config\": {{\n    \"clients\": {clients},\n    \
-         \"workers\": {clients},\n    \"queue_capacity\": 64,\n    \"num_devices\": 4,\n    \
-         \"passes\": {passes},\n    \"duplicates\": {dups},\n    \"seed\": {seed}\n  }},\n  \
-         \"totals\": {{\n    \"jobs\": {jobs},\n    \"submitted\": {submitted},\n    \
-         \"completed\": {completed},\n    \"failed\": {failed},\n    \
-         \"cancelled\": {cancelled},\n    \"expired\": {expired},\n    \
-         \"queue_full_retries\": {retries},\n    \"pooled_jobs\": {pooled},\n    \
-         \"sharded_jobs\": {sharded},\n    \"exchange_rounds\": {xrounds},\n    \
-         \"ghost_bytes\": {gbytes},\n    \
-         \"degraded_jobs\": {degraded},\n    \"lost\": {lost},\n    \
-         \"duplicated\": {duplicated}\n  }},\n  \
-         \"throughput_jobs_per_s\": {tput:.3},\n  \"wall_s\": {wall:.3},\n  \
-         \"latency\": {{\n    \"queue_wait\": {qw},\n    \"exec\": {ex},\n    \
-         \"total\": {tot}\n  }},\n  \"cache\": {{\n    \"hits\": {hits},\n    \
-         \"misses\": {misses},\n    \"coalesced\": {coal},\n    \
-         \"hit_rate\": {hit_rate:.4},\n    \"reuse_rate\": {reuse_rate:.4},\n    \
-         \"insertions\": {ins},\n    \"evictions\": {evi},\n    \
-         \"entries\": {entries},\n    \"bytes\": {bytes}\n  }},\n  \
-         \"max_queue_depth\": {mqd},\n  \"max_in_flight\": {mif},\n  \
-         \"oversized_workload\": \"{oversized}\",\n  \
-         \"device_global_mem_bytes\": {device_bytes},\n  \
-         \"warm_restart\": {{\n    \"restored_entries\": {warm_restored},\n    \
-         \"misses\": {warm_misses},\n    \"hits\": {warm_hits},\n    \
-         \"pure_cache\": {warm_pure}\n  }},\n  \
-         \"results_consistent\": {consistent},\n  \"deterministic\": {deterministic},\n  \
-         \"pooled_exercised\": {pooled_exercised},\n  \
-         \"sharded_exercised\": {sharded_exercised},\n  \
-         \"ok\": {ok}\n}}\n",
-        warm_misses = c.metrics.cache.misses,
-        warm_hits = c.metrics.cache.hits,
-        passes = trace.passes,
-        dups = trace.duplicates,
-        seed = trace.seed,
-        jobs = a.records.len(),
-        submitted = m.submitted,
-        completed = m.completed,
-        cancelled = m.cancelled,
-        expired = m.expired,
-        retries = a.records.iter().map(|r| r.retries).sum::<u64>(),
-        pooled = m.pooled_jobs,
-        sharded = m.sharded_jobs,
-        xrounds = m.exchange_rounds,
-        gbytes = m.ghost_bytes,
-        degraded = m.degraded_jobs,
-        lost = a.lost,
-        duplicated = a.duplicated,
-        tput = a.throughput(),
-        wall = a.wall.as_secs_f64(),
-        qw = lat_json(&m.queue_wait),
-        ex = lat_json(&m.exec),
-        tot = lat_json(&m.total),
-        hits = m.cache.hits,
-        misses = m.cache.misses,
-        coal = m.cache.coalesced,
-        hit_rate = m.cache.hit_rate(),
-        reuse_rate = m.cache.reuse_rate(),
-        ins = m.cache.insertions,
-        evi = m.cache.evictions,
-        entries = m.cache_entries,
-        bytes = m.cache_bytes,
-        mqd = m.max_queue_depth,
-        mif = m.max_in_flight,
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_serve.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let mut json = header("serve_snapshot", scale, Profile::from_env());
+    json.extend(obj! {
+        "device" => "tesla_k40m",
+        "config" => obj! {
+            "clients" => clients, "workers" => clients, "queue_capacity" => 64usize,
+            "num_devices" => 4usize, "passes" => trace.passes, "duplicates" => trace.duplicates,
+            "seed" => trace.seed,
+        },
+        "totals" => obj! {
+            "jobs" => a.records.len(), "submitted" => m.submitted, "completed" => m.completed,
+            "failed" => failed, "cancelled" => m.cancelled, "expired" => m.expired,
+            "queue_full_retries" => a.records.iter().map(|r| r.retries).sum::<u64>(),
+            "pooled_jobs" => m.pooled_jobs, "sharded_jobs" => m.sharded_jobs,
+            "exchange_rounds" => m.exchange_rounds, "ghost_bytes" => m.ghost_bytes,
+            "degraded_jobs" => m.degraded_jobs, "lost" => a.lost, "duplicated" => a.duplicated,
+        },
+        "throughput_jobs_per_s" => a.throughput(), "wall_s" => a.wall.as_secs_f64(),
+        "latency" => obj! {
+            "queue_wait" => latency(&m.queue_wait), "exec" => latency(&m.exec),
+            "total" => latency(&m.total),
+        },
+        "cache" => obj! {
+            "hits" => m.cache.hits, "misses" => m.cache.misses, "coalesced" => m.cache.coalesced,
+            "hit_rate" => m.cache.hit_rate(), "reuse_rate" => m.cache.reuse_rate(),
+            "insertions" => m.cache.insertions, "evictions" => m.cache.evictions,
+            "entries" => m.cache_entries, "bytes" => m.cache_bytes,
+        },
+        "max_queue_depth" => m.max_queue_depth, "max_in_flight" => m.max_in_flight,
+        "oversized_workload" => oversized, "device_global_mem_bytes" => device_bytes,
+        "warm_restart" => obj! {
+            "restored_entries" => warm_restored, "misses" => c.metrics.cache.misses,
+            "hits" => c.metrics.cache.hits, "pure_cache" => warm_pure,
+        },
+        "results_consistent" => consistent, "deterministic" => deterministic,
+        "pooled_exercised" => pooled_exercised, "sharded_exercised" => sharded_exercised,
+        "ok" => ok,
+    });
     println!("SERVE VERDICT: {}", if ok { "clean" } else { "VIOLATIONS" });
-    if !ok {
-        eprintln!(
-            "error: serve trace violated a service invariant \
-             (lost/duplicated jobs, failed runs, inconsistent or nondeterministic results, \
-             pooled/sharded path not exercised, or impure warm restart)"
-        );
-        std::process::exit(1);
-    }
+    let gates = gates![
+        ok => "serve trace violated a service invariant (lost/duplicated jobs, failed runs, \
+               inconsistent or nondeterministic results, pooled/sharded path not exercised, or \
+               impure warm restart)",
+    ];
+    finish(out, "BENCH_serve.json", &json, gates)
 }
 
 /// `repro overload` — the serving layer under *open-loop* load. Calibrates
@@ -1515,10 +1391,9 @@ pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) {
 /// jobs at 5× within 2× of the 1× value) and shedding engagement are
 /// reported as soft flags so timing noise on loaded CI hosts cannot flake
 /// the build.
-pub fn overload(scale: Scale, out: &Path) {
+pub fn overload(scale: Scale, out: &Path) -> Outcome {
     use cd_serve::{
-        distinct_rings, run_open_loop, LatencyStats, OpenLoopConfig, OpenLoopReport, Server,
-        ServerConfig,
+        distinct_rings, run_open_loop, OpenLoopConfig, OpenLoopReport, Server, ServerConfig,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -1678,96 +1553,62 @@ pub fn overload(scale: Scale, out: &Path) {
         || five.completed_latency.p99_ms <= 2.0 * one.completed_latency.p99_ms
         || five.completed == 0;
 
-    let lat_json = |l: &LatencyStats| {
-        format!(
-            "{{ \"count\": {}, \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"max_ms\": {:.3} }}",
-            l.count, l.mean_ms, l.p50_ms, l.p90_ms, l.p99_ms, l.max_ms
-        )
-    };
     let run_json = |r: &OpenLoopReport| {
-        format!(
-            "{{\n      \"offered\": {},\n      \"admitted\": {},\n      \
-             \"completed\": {},\n      \"expired\": {},\n      \
-             \"expired_admission\": {},\n      \"expired_sweep\": {},\n      \
-             \"expired_dequeue\": {},\n      \"shed_predicted\": {},\n      \
-             \"rejected_queue_full\": {},\n      \"rejected_slo\": {},\n      \
-             \"failed\": {},\n      \"goodput_per_s\": {:.3},\n      \
-             \"max_queue_depth\": {},\n      \"wall_s\": {:.3},\n      \
-             \"lost\": {},\n      \"duplicated\": {},\n      \
-             \"completed_latency\": {}\n    }}",
-            r.offered,
-            r.admitted,
-            r.completed,
-            r.expired,
-            r.metrics.expired_admission,
-            r.metrics.expired_sweep,
-            r.metrics.expired_dequeue,
-            r.metrics.shed_predicted,
-            r.rejected_queue_full,
-            r.rejected_slo,
-            r.failed,
-            r.goodput_per_sec(),
-            r.metrics.max_queue_depth,
-            r.wall.as_secs_f64(),
-            r.lost,
-            r.duplicated,
-            lat_json(&r.completed_latency),
-        )
+        obj! {
+            "offered" => r.offered, "admitted" => r.admitted, "completed" => r.completed,
+            "expired" => r.expired, "expired_admission" => r.metrics.expired_admission,
+            "expired_sweep" => r.metrics.expired_sweep,
+            "expired_dequeue" => r.metrics.expired_dequeue,
+            "shed_predicted" => r.metrics.shed_predicted,
+            "rejected_queue_full" => r.rejected_queue_full, "rejected_slo" => r.rejected_slo,
+            "failed" => r.failed, "goodput_per_s" => r.goodput_per_sec(),
+            "max_queue_depth" => r.metrics.max_queue_depth, "wall_s" => r.wall.as_secs_f64(),
+            "lost" => r.lost, "duplicated" => r.duplicated,
+            "completed_latency" => latency(&r.completed_latency),
+        }
     };
-    let sweep_json = sweep_rows
+    let sweep = sweep_rows
         .iter()
         .map(|(rate, r)| {
-            format!(
-                "{{ \"rate_per_s\": {rate:.3}, \"completed\": {}, \"expired\": {}, \
-                 \"rejected\": {}, \"completion_ratio\": {:.4}, \"goodput_per_s\": {:.3}, \
-                 \"p99_ms\": {:.3} }}",
-                r.completed,
-                r.expired,
-                r.rejected_queue_full + r.rejected_slo + r.rejected_other,
-                r.completion_ratio(),
-                r.goodput_per_sec(),
-                r.completed_latency.p99_ms,
-            )
+            obj! {
+                "rate_per_s" => *rate, "completed" => r.completed, "expired" => r.expired,
+                "rejected" => r.rejected_queue_full + r.rejected_slo + r.rejected_other,
+                "completion_ratio" => r.completion_ratio(), "goodput_per_s" => r.goodput_per_sec(),
+                "p99_ms" => r.completed_latency.p99_ms,
+            }
         })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let measured_json = measured
-        .iter()
-        .map(|(label, rate, r)| {
-            format!("\"{label}\": {{ \"rate_per_s\": {rate:.3}, \"run\": {} }}", run_json(r))
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        "{{\n  \"experiment\": \"overload\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"config\": {{\n    \"workers\": {workers},\n    \
-         \"queue_capacity\": {queue_capacity},\n    \"jobs_per_run\": {jobs_per_run},\n    \
-         \"ring_base\": {ring_base},\n    \"deadline_ms\": {deadline_ms:.3}\n  }},\n  \
-         \"calibration\": {{ \"exec_mean_ms\": {mean_ms:.3}, \"exec_p99_ms\": {p99_ms:.3}, \
-         \"capacity_jobs_per_s\": {mu:.3} }},\n  \
-         \"knee_jobs_per_s\": {knee:.3},\n  \"sweep\": [\n    {sweep_json}\n  ],\n  \
-         \"measured\": {{\n    {measured_json}\n  }},\n  \
-         \"queue_bounded\": {queue_bounded},\n  \"sheds_engaged\": {sheds_engaged},\n  \
-         \"slo_bounded\": {slo_bounded},\n  \"accounting_ok\": {accounting_ok},\n  \
-         \"ok\": {accounting_ok}\n}}\n",
-        deadline_ms = deadline.as_secs_f64() * 1e3,
+        .collect::<Vec<_>>();
+    let measured = Json::Obj(
+        measured
+            .iter()
+            .map(|(label, rate, r)| {
+                (label.to_string(), obj! { "rate_per_s" => *rate, "run" => run_json(r) })
+            })
+            .collect(),
     );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_overload.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let mut json = header("overload", scale, Profile::from_env());
+    json.extend(obj! {
+        "config" => obj! {
+            "workers" => workers, "queue_capacity" => queue_capacity,
+            "jobs_per_run" => jobs_per_run, "ring_base" => ring_base,
+            "deadline_ms" => deadline.as_secs_f64() * 1e3,
+        },
+        "calibration" => obj! {
+            "exec_mean_ms" => mean_ms, "exec_p99_ms" => p99_ms, "capacity_jobs_per_s" => mu,
+        },
+        "knee_jobs_per_s" => knee, "sweep" => sweep, "measured" => measured,
+        "queue_bounded" => queue_bounded, "sheds_engaged" => sheds_engaged,
+        "slo_bounded" => slo_bounded, "accounting_ok" => accounting_ok, "ok" => accounting_ok,
+    });
     println!(
         "OVERLOAD VERDICT: {} (queue_bounded {queue_bounded}, sheds_engaged {sheds_engaged}, \
          slo_bounded {slo_bounded})",
         if accounting_ok { "clean" } else { "VIOLATIONS" },
     );
-    if !accounting_ok {
-        eprintln!("error: open-loop overload run lost a job, settled one twice, or failed a run");
-        std::process::exit(1);
-    }
+    let gates = gates![
+        accounting_ok => "open-loop overload run lost a job, settled one twice, or failed a run",
+    ];
+    finish(out, "BENCH_overload.json", &json, gates)
 }
 
 /// Incremental-recompute benchmark: sweeps edge-churn fractions over the
@@ -1780,25 +1621,17 @@ pub fn overload(scale: Scale, out: &Path) {
 /// Two gates, honest numbers both, enforced at `Scale::Medium` and above
 /// (the acceptance scale) and reported informationally below it:
 /// * correctness — the warm-start *deficit* `max(0, Q_scratch − Q_warm)`
-///   must stay within `max(1e-3, reference dispersion)` at every churn
-///   fraction, where the reference dispersion is measured in-run per graph:
-///   the spread of from-scratch Q across the base graph and the ≤ 0.1%-churn
-///   instances — graphs that differ by a handful of edges. Louvain's greedy
-///   trajectory is chaotic on some workloads (two cold runs on near-identical
-///   graphs land up to ~2e-2 of Q apart), so no incremental method can track
-///   the reference tighter than the reference tracks itself; the gate
-///   enforces the strongest achievable statement and reports the raw signed
-///   ΔQ per cell alongside;
+///   must stay within [`dispersion_allowance`] of the from-scratch Q over
+///   the base graph and the ≤ 0.1%-churn instances, at every churn fraction
+///   (the raw signed ΔQ per cell is reported alongside);
 /// * performance — median warm-vs-scratch wall-time speedup ≥ 3× at ≤ 0.1%
 ///   churn (tiny smoke runs carry too much fixed overhead to gate on).
-pub fn incremental(scale: Scale, out: &Path) {
+pub fn incremental(scale: Scale, out: &Path) -> Outcome {
     use cd_core::{louvain_gpu, louvain_warm_start};
     use cd_gpusim::Device;
     use cd_graph::apply_delta;
     use cd_workloads::{churn, featured};
-    use std::time::Instant;
 
-    const DQ_BAND: f64 = 1e-3;
     const SPEEDUP_FLOOR: f64 = 3.0;
     const SMALL_CHURN: f64 = 0.001; // "≤ 0.1% churn" cutoff, inclusive
     let fracs = [0.0001, 0.001, 0.01, 0.1];
@@ -1818,8 +1651,8 @@ pub fn incremental(scale: Scale, out: &Path) {
         ],
     );
     let cfg = gpu_cfg(scale);
-    let mut entries = String::new();
-    let mut graph_summaries = String::new();
+    let mut sweep = Vec::new();
+    let mut graph_summaries = Vec::new();
     let mut small_churn_speedups = Vec::new();
     let mut max_dq = 0.0f64;
     let mut max_deficit = 0.0f64;
@@ -1831,122 +1664,77 @@ pub fn incremental(scale: Scale, out: &Path) {
         // anchors the reference-dispersion measurement below.
         let seed = louvain_gpu(&Device::k40m(), g, &cfg).expect("base run");
         let mut ref_qs = vec![seed.modularity];
-        struct Cell {
-            frac: f64,
-            ops: usize,
-            touched: usize,
-            scratch_s: f64,
-            warm_s: f64,
-            scratch_q: f64,
-            warm_q: f64,
-            warm_stages: usize,
-        }
-        let mut cells: Vec<Cell> = Vec::new();
+        let mut cells = Vec::new();
         for (fi, &frac) in fracs.iter().enumerate() {
             let batch = churn(g, 0xD17A + fi as u64, frac);
             let (patched, touched) = apply_delta(g, &batch).expect("churn batches apply cleanly");
-            // Interleaved best-of-3: scratch and warm alternate so drift in
-            // host load hits both sides alike; best-of filters the noise.
-            let mut scratch_best: Option<(f64, f64)> = None; // (wall, Q)
-            let mut warm_best: Option<(f64, f64, usize)> = None; // (wall, Q, stages)
-            for _ in 0..3 {
-                let t0 = Instant::now();
-                let s = louvain_gpu(&Device::k40m(), &patched, &cfg).expect("scratch run");
-                let sw = t0.elapsed().as_secs_f64();
-                if scratch_best.is_none_or(|(w, _)| sw < w) {
-                    scratch_best = Some((sw, s.modularity));
-                }
-                let t1 = Instant::now();
-                let w =
-                    louvain_warm_start(&Device::k40m(), &patched, &cfg, &seed.partition, &touched)
-                        .expect("warm run");
-                let ww = t1.elapsed().as_secs_f64();
-                if warm_best.is_none_or(|(x, _, _)| ww < x) {
-                    warm_best = Some((ww, w.modularity, w.stages.len()));
-                }
-            }
-            let (scratch_s, scratch_q) = scratch_best.expect("three runs happened");
-            let (warm_s, warm_q, warm_stages) = warm_best.expect("three runs happened");
+            let [scratch, warm] = best_of(
+                REPS,
+                [
+                    &mut || {
+                        timed(|| louvain_gpu(&Device::k40m(), &patched, &cfg).expect("scratch"))
+                    },
+                    &mut || {
+                        timed(|| {
+                            louvain_warm_start(
+                                &Device::k40m(),
+                                &patched,
+                                &cfg,
+                                &seed.partition,
+                                &touched,
+                            )
+                            .expect("warm run")
+                        })
+                    },
+                ],
+            );
             if frac <= SMALL_CHURN {
-                small_churn_speedups.push(scratch_s / warm_s.max(1e-12));
-                ref_qs.push(scratch_q);
+                small_churn_speedups.push(scratch.seconds / warm.seconds.max(1e-12));
+                ref_qs.push(scratch.run.modularity);
             }
-            cells.push(Cell {
-                frac,
-                ops: batch.len(),
-                touched: touched.len(),
-                scratch_s,
-                warm_s,
-                scratch_q,
-                warm_q,
-                warm_stages,
-            });
+            cells.push((frac, batch.len(), touched.len(), scratch, warm));
         }
-        // Reference dispersion: the spread of cold-run Q across the base
-        // graph and the small-churn instances — near-identical graphs, so
-        // the spread is the reference's own per-instance variability and the
-        // resolution limit of any warm-vs-scratch comparison on this graph.
-        let spread = ref_qs.iter().cloned().fold(f64::MIN, f64::max)
-            - ref_qs.iter().cloned().fold(f64::MAX, f64::min);
-        let allowance = DQ_BAND.max(spread);
+        let (spread, allowance) = dispersion_allowance(&ref_qs);
         let mut graph_max_deficit = 0.0f64;
-        for c in &cells {
-            let speedup = c.scratch_s / c.warm_s.max(1e-12);
-            let dq = c.warm_q - c.scratch_q;
+        for (frac, ops, touched, scratch, warm) in &cells {
+            let speedup = scratch.seconds / warm.seconds.max(1e-12);
+            let dq = warm.run.modularity - scratch.run.modularity;
             let deficit = (-dq).max(0.0);
             max_dq = max_dq.max(dq.abs());
             graph_max_deficit = graph_max_deficit.max(deficit);
             t.row(vec![
                 spec.name.to_string(),
-                format!("{:.2}%", c.frac * 100.0),
-                c.ops.to_string(),
-                c.touched.to_string(),
-                format!("{:.4}", c.scratch_s),
-                format!("{:.4}", c.warm_s),
+                format!("{:.2}%", frac * 100.0),
+                ops.to_string(),
+                touched.to_string(),
+                format!("{:.4}", scratch.seconds),
+                format!("{:.4}", warm.seconds),
                 ratio(speedup),
                 format!("{dq:+.3e}"),
-                c.warm_stages.to_string(),
+                warm.run.stages.len().to_string(),
             ]);
-            if !entries.is_empty() {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
-                "\n    {{\n      \"graph\": \"{name}\",\n      \"churn_frac\": {frac},\n      \
-                 \"delta_ops\": {ops},\n      \"touched_vertices\": {touched},\n      \
-                 \"scratch_seconds\": {scratch_s:.6},\n      \"warm_seconds\": {warm_s:.6},\n      \
-                 \"speedup\": {speedup:.4},\n      \"scratch_modularity\": {scratch_q:.15},\n      \
-                 \"warm_modularity\": {warm_q:.15},\n      \"dq\": {dq:.3e},\n      \
-                 \"deficit\": {deficit:.3e},\n      \"warm_stages\": {warm_stages}\n    }}",
-                name = spec.name,
-                frac = c.frac,
-                ops = c.ops,
-                touched = c.touched,
-                scratch_s = c.scratch_s,
-                warm_s = c.warm_s,
-                scratch_q = c.scratch_q,
-                warm_q = c.warm_q,
-                warm_stages = c.warm_stages,
-            ));
+            sweep.push(obj! {
+                "graph" => spec.name, "churn_frac" => *frac, "delta_ops" => *ops,
+                "touched_vertices" => *touched, "scratch_seconds" => scratch.seconds,
+                "scratch_seconds_spread" => scratch.spread, "warm_seconds" => warm.seconds,
+                "warm_seconds_spread" => warm.spread, "speedup" => speedup,
+                "scratch_modularity" => scratch.run.modularity,
+                "warm_modularity" => warm.run.modularity, "dq" => dq, "deficit" => deficit,
+                "warm_stages" => warm.run.stages.len(),
+            });
         }
         max_deficit = max_deficit.max(graph_max_deficit);
-        if graph_max_deficit > allowance {
-            deficit_ok = false;
-        }
-        if !graph_summaries.is_empty() {
-            graph_summaries.push(',');
-        }
-        graph_summaries.push_str(&format!(
-            "\n    {{ \"graph\": \"{name}\", \"reference_spread\": {spread:.3e}, \
-             \"allowance\": {allowance:.3e}, \"max_deficit\": {graph_max_deficit:.3e}, \
-             \"ok\": {ok} }}",
-            name = spec.name,
-            ok = graph_max_deficit <= allowance,
-        ));
+        let ok = graph_max_deficit <= allowance;
+        deficit_ok &= ok;
+        graph_summaries.push(obj! {
+            "graph" => spec.name, "reference_spread" => spread, "allowance" => allowance,
+            "max_deficit" => graph_max_deficit, "ok" => ok,
+        });
         println!(
             "  {name}: reference spread {spread:.3e} → allowance {allowance:.3e}, \
              max warm deficit {graph_max_deficit:.3e} ({verdict})",
             name = spec.name,
-            verdict = if graph_max_deficit <= allowance { "ok" } else { "EXCEEDED" },
+            verdict = if ok { "ok" } else { "EXCEEDED" },
         );
     }
     t.print();
@@ -1963,36 +1751,23 @@ pub fn incremental(scale: Scale, out: &Path) {
         ratio(median_small),
         if gated { "enforced" } else { "informational" },
     );
-    let json = format!(
-        "{{\n  \"experiment\": \"incremental\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m\",\n  \"dq_band\": {DQ_BAND:.0e},\n  \
-         \"speedup_floor\": {SPEEDUP_FLOOR},\n  \"sweep\": [{entries}\n  ],\n  \
-         \"graphs\": [{graph_summaries}\n  ],\n  \
-         \"summary\": {{\n    \"median_small_churn_speedup\": {median_small:.4},\n    \
-         \"max_abs_dq\": {max_dq:.3e},\n    \"max_deficit\": {max_deficit:.3e},\n    \
-         \"gated\": {gated},\n    \"dq_ok\": {dq_ok},\n    \"perf_ok\": {perf_ok}\n  }},\n  \
-         \"ok\": {ok}\n}}\n",
-        ok = dq_ok && perf_ok,
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_incremental.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    if !dq_ok {
-        eprintln!(
-            "error: warm-start modularity fell {max_deficit:.3e} short of the from-scratch run \
-             on some cell, beyond that graph's reference dispersion (floor {DQ_BAND:.0e})"
-        );
-        std::process::exit(1);
-    }
-    if !perf_ok {
-        eprintln!(
-            "error: median small-churn speedup {median_small:.2}x is below the {SPEEDUP_FLOOR}x floor"
-        );
-        std::process::exit(1);
-    }
+    let mut json = header("incremental", scale, Profile::from_env());
+    json.extend(obj! {
+        "device" => "tesla_k40m", "dq_band" => DQ_BAND, "speedup_floor" => SPEEDUP_FLOOR,
+        "sweep" => sweep, "graphs" => graph_summaries,
+        "summary" => obj! {
+            "median_small_churn_speedup" => median_small, "max_abs_dq" => max_dq,
+            "max_deficit" => max_deficit, "gated" => gated, "dq_ok" => dq_ok, "perf_ok" => perf_ok,
+        },
+        "ok" => dq_ok && perf_ok,
+    });
+    let gates = gates![
+        dq_ok => "warm-start modularity fell {max_deficit:.3e} short of the from-scratch run on \
+                  some cell, beyond that graph's reference dispersion (floor {DQ_BAND:.0e})",
+        perf_ok => "median small-churn speedup {median_small:.2}x is below the {SPEEDUP_FLOOR}x \
+                    floor",
+    ];
+    finish(out, "BENCH_incremental.json", &json, gates)
 }
 
 /// `repro portfolio` — quality/speed snapshot of the algorithm portfolio:
@@ -2012,18 +1787,17 @@ pub fn incremental(scale: Scale, out: &Path) {
 /// contraction, so later stages legitimately explore a different
 /// trajectory and the end-to-end comparison is not a guaranteed
 /// invariant.)
-pub fn portfolio(scale: Scale, out: &Path) {
+pub fn portfolio(scale: Scale, out: &Path) -> Outcome {
     use cd_core::{detect_communities, Algorithm};
     use cd_gpusim::Device;
     use cd_graph::compare::nmi;
-    use std::time::Instant;
 
     let mut t = Table::new(
         format!("Algorithm portfolio: quality and wall time (scale: {scale:?})"),
         &["graph", "algorithm", "Q", "NMI", "ref", "comms", "wall[s]"],
     );
     let cfg = gpu_cfg(scale);
-    let mut entries = String::new();
+    let mut cells = Vec::new();
     let mut nmi_ok = true;
     let mut refine_ok = true;
     let mut worst_nmi = f64::INFINITY;
@@ -2038,10 +1812,10 @@ pub fn portfolio(scale: Scale, out: &Path) {
         let mut louvain_partition: Option<cd_graph::Partition> = None;
         let mut louvain_q = f64::NAN;
         for algorithm in Algorithm::ALL {
-            let t0 = Instant::now();
-            let res = detect_communities(&Device::k40m(), g, &cfg, algorithm)
-                .expect("portfolio member runs the suite");
-            let wall = t0.elapsed().as_secs_f64();
+            let (wall, res) = timed(|| {
+                detect_communities(&Device::k40m(), g, &cfg, algorithm)
+                    .expect("portfolio member runs the suite")
+            });
             let (score, reference) = match &built.truth {
                 Some(truth) => (nmi(&res.partition, truth), "truth"),
                 None => match &louvain_partition {
@@ -2082,19 +1856,11 @@ pub fn portfolio(scale: Scale, out: &Path) {
                 res.partition.num_communities().to_string(),
                 format!("{wall:.4}"),
             ]);
-            if !entries.is_empty() {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
-                "\n    {{\n      \"graph\": \"{name}\",\n      \"algorithm\": \"{alg}\",\n      \
-                 \"modularity\": {q:.15},\n      \"nmi\": {score:.6},\n      \
-                 \"nmi_reference\": \"{reference}\",\n      \"communities\": {comms},\n      \
-                 \"wall_seconds\": {wall:.6}\n    }}",
-                name = spec.name,
-                alg = algorithm.label(),
-                q = res.modularity,
-                comms = res.partition.num_communities(),
-            ));
+            cells.push(obj! {
+                "graph" => spec.name, "algorithm" => algorithm.label(),
+                "modularity" => res.modularity, "nmi" => score, "nmi_reference" => reference,
+                "communities" => res.partition.num_communities(), "wall_seconds" => wall,
+            });
         }
     }
     t.print();
@@ -2103,36 +1869,23 @@ pub fn portfolio(scale: Scale, out: &Path) {
          min per-stage refinement ΔQ = {min_refine_delta:.3e} (gate: ≥0), \
          max final Leiden deficit vs Louvain = {max_leiden_deficit:.3e} (informational)"
     );
-    let json = format!(
-        "{{\n  \"experiment\": \"portfolio\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m\",\n  \"cells\": [{entries}\n  ],\n  \
-         \"summary\": {{\n    \"worst_nmi\": {worst_nmi:.6},\n    \
-         \"min_refine_delta_q\": {min_refine_delta:.3e},\n    \
-         \"max_leiden_deficit\": {max_leiden_deficit:.3e},\n    \
-         \"nmi_ok\": {nmi_ok},\n    \"refine_ok\": {refine_ok}\n  }},\n  \
-         \"ok\": {ok}\n}}\n",
-        ok = nmi_ok && refine_ok,
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_portfolio.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    if !nmi_ok {
-        eprintln!(
-            "error: some (algorithm × workload) cell produced a non-finite or out-of-range NMI"
-        );
-        std::process::exit(1);
-    }
-    if !refine_ok {
-        eprintln!(
-            "error: a Leiden refinement pass lost {:.3e} modularity at its own stage — \
-             the refinement commit rule must never lose",
-            -min_refine_delta
-        );
-        std::process::exit(1);
-    }
+    let mut json = header("portfolio", scale, Profile::from_env());
+    json.extend(obj! {
+        "device" => "tesla_k40m", "cells" => cells,
+        "summary" => obj! {
+            "worst_nmi" => worst_nmi, "min_refine_delta_q" => min_refine_delta,
+            "max_leiden_deficit" => max_leiden_deficit, "nmi_ok" => nmi_ok,
+            "refine_ok" => refine_ok,
+        },
+        "ok" => nmi_ok && refine_ok,
+    });
+    let lost = -min_refine_delta;
+    let gates = gates![
+        nmi_ok => "some (algorithm × workload) cell produced a non-finite or out-of-range NMI",
+        refine_ok => "a Leiden refinement pass lost {lost:.3e} modularity at its own stage — the \
+                      refinement commit rule must never lose",
+    ];
+    finish(out, "BENCH_portfolio.json", &json, gates)
 }
 
 /// `repro dist` — the partitioned out-of-core path (`cd-dist`): sharded CSR,
@@ -2144,12 +1897,10 @@ pub fn portfolio(scale: Scale, out: &Path) {
 /// * **quality** — every featured workload runs sharded across 4 devices
 ///   each sized to ~60% of the graph's single-device footprint (so no
 ///   device could hold it alone) and is compared against the single-device
-///   oracle. The gate reuses the incremental experiment's honesty
-///   methodology: the oracle's own cold-run dispersion across the base
-///   graph and two ≤ 0.1%-churn instances sets the per-graph allowance
-///   (floored at 1e-3), and the sharded *deficit* `max(0, Q_oracle −
-///   Q_sharded)` must stay inside it. Enforced at `Scale::Medium` and
-///   above, informational below.
+///   oracle: the sharded *deficit* `max(0, Q_oracle − Q_sharded)` must stay
+///   within [`dispersion_allowance`] of the oracle's Q over the base graph
+///   and two ≤ 0.1%-churn instances. Enforced at `Scale::Medium` and above,
+///   informational below.
 /// * **identity** — a dedicated RMAT graph (scaled with `--scale`, up to
 ///   tens of millions of arcs at `huge`) runs the full
 ///   {2, 4} shards × {1, 8} worker-thread matrix under the native-parallel
@@ -2160,16 +1911,14 @@ pub fn portfolio(scale: Scale, out: &Path) {
 ///
 /// Each identity cell also reports the paper-style telemetry: wall time,
 /// first-superstep TEPS, exchange rounds, ghost bytes, cut fraction.
-pub fn dist(scale: Scale, out: &Path) {
+pub fn dist(scale: Scale, out: &Path) -> Outcome {
     use cd_core::{estimated_device_bytes, louvain_gpu};
     use cd_dist::{louvain_sharded, DistConfig};
     use cd_gpusim::Device;
     use cd_graph::apply_delta;
     use cd_graph::gen::{rmat, RmatParams};
     use cd_workloads::{churn, featured};
-    use std::time::Instant;
 
-    const DQ_BAND: f64 = 1e-3;
     const QUALITY_SHARDS: usize = 4;
     // Target fraction of the single-device footprint each shard device
     // gets: small enough that no device could run the graph alone.
@@ -2217,7 +1966,7 @@ pub fn dist(scale: Scale, out: &Path) {
             "ghost KiB",
         ],
     );
-    let mut quality_entries = String::new();
+    let mut quality = Vec::new();
     let mut deficit_ok = true;
     let mut max_deficit = 0.0f64;
     for spec in featured() {
@@ -2233,16 +1982,12 @@ pub fn dist(scale: Scale, out: &Path) {
             let (patched, _) = apply_delta(g, &batch).expect("churn applies");
             ref_qs.push(louvain_gpu(&Device::k40m(), &patched, &cfg).expect("ref run").modularity);
         }
-        let spread = ref_qs.iter().cloned().fold(f64::MIN, f64::max)
-            - ref_qs.iter().cloned().fold(f64::MAX, f64::min);
-        let allowance = DQ_BAND.max(spread);
+        let (spread, allowance) = dispersion_allowance(&ref_qs);
 
         let mut dcfg = DistConfig::k40m(QUALITY_SHARDS);
         dcfg.gpu = cfg;
         dcfg.device.global_mem_bytes = device_bytes_for(g, &[QUALITY_SHARDS]);
-        let t0 = Instant::now();
-        let r = louvain_sharded(g, &dcfg).expect("sharded run");
-        let wall = t0.elapsed().as_secs_f64();
+        let (wall, r) = timed(|| louvain_sharded(g, &dcfg).expect("sharded run"));
         lost_labels += r.telemetry.lost_labels;
         ownership_violations += r.telemetry.ownership_violations;
         let deficit = (oracle.modularity - r.modularity).max(0.0);
@@ -2263,38 +2008,20 @@ pub fn dist(scale: Scale, out: &Path) {
             r.telemetry.exchange_rounds.to_string(),
             format!("{:.1}", r.telemetry.ghost_bytes as f64 / 1024.0),
         ]);
-        if !quality_entries.is_empty() {
-            quality_entries.push(',');
-        }
-        quality_entries.push_str(&format!(
-            "\n    {{\n      \"graph\": \"{name}\",\n      \"vertices\": {n},\n      \
-             \"arcs\": {arcs},\n      \"footprint_bytes\": {footprint},\n      \
-             \"device_bytes\": {dev_bytes},\n      \"num_shards\": {QUALITY_SHARDS},\n      \
-             \"cut_fraction\": {cut:.6},\n      \"strategy\": \"{strategy}\",\n      \
-             \"oracle_modularity\": {oq:.15},\n      \"sharded_modularity\": {sq:.15},\n      \
-             \"reference_spread\": {spread:.3e},\n      \"allowance\": {allowance:.3e},\n      \
-             \"deficit\": {deficit:.3e},\n      \"levels\": {levels},\n      \
-             \"sharded_levels\": {slevels},\n      \"exchange_rounds\": {rounds},\n      \
-             \"ghost_updates\": {gup},\n      \"ghost_bytes\": {gbytes},\n      \
-             \"resident_ghosts\": {ghosts},\n      \"max_shard_bytes\": {msb},\n      \
-             \"wall_seconds\": {wall:.6},\n      \"ok\": {ok}\n    }}",
-            name = spec.name,
-            n = g.num_vertices(),
-            arcs = g.num_arcs(),
-            dev_bytes = dcfg.device.global_mem_bytes,
-            cut = r.telemetry.cut_fraction,
-            strategy = r.telemetry.strategy,
-            oq = oracle.modularity,
-            sq = r.modularity,
-            levels = r.telemetry.levels,
-            slevels = r.telemetry.sharded_levels,
-            rounds = r.telemetry.exchange_rounds,
-            gup = r.telemetry.ghost_updates,
-            gbytes = r.telemetry.ghost_bytes,
-            ghosts = r.telemetry.resident_ghosts,
-            msb = r.telemetry.max_shard_bytes,
-            ok = deficit <= allowance,
-        ));
+        quality.push(obj! {
+            "graph" => spec.name, "vertices" => g.num_vertices(), "arcs" => g.num_arcs(),
+            "footprint_bytes" => footprint, "device_bytes" => dcfg.device.global_mem_bytes,
+            "num_shards" => QUALITY_SHARDS, "cut_fraction" => r.telemetry.cut_fraction,
+            "strategy" => r.telemetry.strategy.to_string(),
+            "oracle_modularity" => oracle.modularity, "sharded_modularity" => r.modularity,
+            "reference_spread" => spread, "allowance" => allowance, "deficit" => deficit,
+            "levels" => r.telemetry.levels, "sharded_levels" => r.telemetry.sharded_levels,
+            "exchange_rounds" => r.telemetry.exchange_rounds,
+            "ghost_updates" => r.telemetry.ghost_updates, "ghost_bytes" => r.telemetry.ghost_bytes,
+            "resident_ghosts" => r.telemetry.resident_ghosts,
+            "max_shard_bytes" => r.telemetry.max_shard_bytes, "wall_seconds" => wall,
+            "ok" => deficit <= allowance,
+        });
         println!(
             "  {}: oracle {:.4} sharded {:.4}, deficit {deficit:.3e} vs allowance \
              {allowance:.3e} ({})",
@@ -2329,7 +2056,7 @@ pub fn dist(scale: Scale, out: &Path) {
         "Bit-identity matrix: shards x worker threads (native-parallel backend)".to_string(),
         &["shards", "threads", "Q", "wall[s]", "TEPS", "rounds", "ghost KiB", "lost", "ownership"],
     );
-    let mut cells = String::new();
+    let mut cells = Vec::new();
     let mut outputs: Vec<(Vec<u32>, u64)> = Vec::new();
     for shards in [2usize, 4] {
         for threads in [1usize, 8] {
@@ -2337,9 +2064,7 @@ pub fn dist(scale: Scale, out: &Path) {
             dcfg.gpu = cfg;
             dcfg.device.global_mem_bytes = dev_bytes;
             dcfg.device = dcfg.device.with_profile(Profile::Parallel).with_threads(threads);
-            let t0 = Instant::now();
-            let r = louvain_sharded(&g, &dcfg).expect("identity run");
-            let wall = t0.elapsed().as_secs_f64();
+            let (wall, r) = timed(|| louvain_sharded(&g, &dcfg).expect("identity run"));
             let teps = g.num_arcs() as f64 / r.telemetry.first_superstep.as_secs_f64().max(1e-12);
             lost_labels += r.telemetry.lost_labels;
             ownership_violations += r.telemetry.ownership_violations;
@@ -2354,24 +2079,16 @@ pub fn dist(scale: Scale, out: &Path) {
                 r.telemetry.lost_labels.to_string(),
                 r.telemetry.ownership_violations.to_string(),
             ]);
-            if !cells.is_empty() {
-                cells.push(',');
-            }
-            cells.push_str(&format!(
-                "\n      {{ \"shards\": {shards}, \"threads\": {threads}, \
-                 \"modularity\": {q:.15}, \"wall_seconds\": {wall:.6}, \
-                 \"first_superstep_teps\": {teps:.6e}, \"exchange_rounds\": {rounds}, \
-                 \"ghost_updates\": {gup}, \"ghost_bytes\": {gbytes}, \
-                 \"cut_fraction\": {cut:.6}, \"lost_labels\": {lost}, \
-                 \"ownership_violations\": {own} }}",
-                q = r.modularity,
-                rounds = r.telemetry.exchange_rounds,
-                gup = r.telemetry.ghost_updates,
-                gbytes = r.telemetry.ghost_bytes,
-                cut = r.telemetry.cut_fraction,
-                lost = r.telemetry.lost_labels,
-                own = r.telemetry.ownership_violations,
-            ));
+            cells.push(obj! {
+                "shards" => shards, "threads" => threads, "modularity" => r.modularity,
+                "wall_seconds" => wall, "first_superstep_teps" => teps,
+                "exchange_rounds" => r.telemetry.exchange_rounds,
+                "ghost_updates" => r.telemetry.ghost_updates,
+                "ghost_bytes" => r.telemetry.ghost_bytes,
+                "cut_fraction" => r.telemetry.cut_fraction,
+                "lost_labels" => r.telemetry.lost_labels,
+                "ownership_violations" => r.telemetry.ownership_violations,
+            });
             outputs.push((r.partition.into_vec(), r.modularity.to_bits()));
         }
     }
@@ -2387,50 +2104,58 @@ pub fn dist(scale: Scale, out: &Path) {
         if gated { "enforced" } else { "informational" },
     );
 
-    let json = format!(
-        "{{\n  \"experiment\": \"dist\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"device\": \"tesla_k40m ({MEM_FRACTION} x footprint)\",\n  \
-         \"dq_band\": {DQ_BAND:.0e},\n  \"quality\": [{quality_entries}\n  ],\n  \
-         \"identity\": {{\n    \"graph\": \"rmat-{rmat_scale}\",\n    \
-         \"vertices\": {n},\n    \"arcs\": {arcs},\n    \
-         \"footprint_bytes\": {footprint},\n    \"device_bytes\": {dev_bytes},\n    \
-         \"cells\": [{cells}\n    ],\n    \"bit_identical\": {bit_identical}\n  }},\n  \
-         \"summary\": {{\n    \"max_quality_deficit\": {max_deficit:.3e},\n    \
-         \"lost_labels\": {lost_labels},\n    \
-         \"ownership_violations\": {ownership_violations},\n    \"gated\": {gated},\n    \
-         \"quality_ok\": {quality_ok},\n    \"exchange_ok\": {exchange_ok},\n    \
-         \"bit_identical\": {bit_identical}\n  }},\n  \"ok\": {ok}\n}}\n",
-        n = g.num_vertices(),
-        arcs = g.num_arcs(),
-        ok = quality_ok && exchange_ok && bit_identical,
-    );
-    std::fs::create_dir_all(out).ok();
-    let path = out.join("BENCH_dist.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    if !bit_identical {
-        eprintln!(
-            "error: sharded Louvain diverged across the shard-count x thread-count matrix — \
-             the halo exchange must be deterministic"
-        );
-        std::process::exit(1);
-    }
-    if !exchange_ok {
-        eprintln!(
-            "error: the halo exchange lost {lost_labels} ghost label(s) and recorded \
-             {ownership_violations} ownership violation(s); both must be zero"
-        );
-        std::process::exit(1);
-    }
-    if !quality_ok {
-        eprintln!(
-            "error: sharded modularity fell {max_deficit:.3e} short of the single-device \
-             oracle on some workload, beyond that graph's reference dispersion \
-             (floor {DQ_BAND:.0e})"
-        );
-        std::process::exit(1);
+    let mut json = header("dist", scale, Profile::from_env());
+    json.extend(obj! {
+        "device" => format!("tesla_k40m ({MEM_FRACTION} x footprint)"),
+        "dq_band" => DQ_BAND, "quality" => quality,
+        "identity" => obj! {
+            "graph" => format!("rmat-{rmat_scale}"),
+            "vertices" => g.num_vertices(), "arcs" => g.num_arcs(), "footprint_bytes" => footprint,
+            "device_bytes" => dev_bytes, "cells" => cells, "bit_identical" => bit_identical,
+        },
+        "summary" => obj! {
+            "max_quality_deficit" => max_deficit, "lost_labels" => lost_labels,
+            "ownership_violations" => ownership_violations, "gated" => gated,
+            "quality_ok" => quality_ok, "exchange_ok" => exchange_ok,
+            "bit_identical" => bit_identical,
+        },
+        "ok" => quality_ok && exchange_ok && bit_identical,
+    });
+    let gates = gates![
+        bit_identical => "sharded Louvain diverged across the shard-count x thread-count matrix \
+                          — the halo exchange must be deterministic",
+        exchange_ok => "the halo exchange lost {lost_labels} ghost label(s) and recorded \
+                        {ownership_violations} ownership violation(s); both must be zero",
+        quality_ok => "sharded modularity fell {max_deficit:.3e} short of the single-device \
+                       oracle on some workload, beyond that graph's reference dispersion (floor \
+                       {DQ_BAND:.0e})",
+    ];
+    finish(out, "BENCH_dist.json", &json, gates)
+}
+
+/// Floor of the oracle-dispersion allowance: a second method may trail the
+/// from-scratch reference by this much even when the reference's own spread
+/// is smaller.
+const DQ_BAND: f64 = 1e-3;
+
+/// The oracle-dispersion rule shared by `incremental` and `dist`: `ref_qs`
+/// are cold-run Q values on a graph and its near-identical churn instances
+/// (a handful of edges apart). Louvain's greedy trajectory is chaotic on
+/// some workloads — such runs land up to ~2e-2 of Q apart — so no second
+/// method can be held closer to the reference than the reference holds to
+/// itself: the allowance is `max(DQ_BAND, spread)`. Returns `(spread,
+/// allowance)`.
+fn dispersion_allowance(ref_qs: &[f64]) -> (f64, f64) {
+    let spread = ref_qs.iter().copied().fold(f64::MIN, f64::max)
+        - ref_qs.iter().copied().fold(f64::MAX, f64::min);
+    (spread, DQ_BAND.max(spread))
+}
+
+/// A latency summary as snapshot JSON.
+fn latency(l: &cd_serve::LatencyStats) -> Json {
+    obj! {
+        "count" => l.count, "mean_ms" => l.mean_ms, "p50_ms" => l.p50_ms, "p90_ms" => l.p90_ms,
+        "p99_ms" => l.p99_ms, "max_ms" => l.max_ms,
     }
 }
 

@@ -14,3 +14,4 @@
 pub mod experiments;
 pub mod report;
 pub mod runner;
+pub mod snapshot;
