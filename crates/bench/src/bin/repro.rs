@@ -9,9 +9,9 @@
 //!
 //! `repro --help` lists the experiments (the `EXPERIMENTS` table below);
 //! `all` runs every one in table order and stops at the first that fails.
-//! An experiment that writes a `BENCH_*.json` snapshot fails — exit code 1,
-//! one `error:` line per failed gate — when the file cannot be written or
-//! one of its gates does not hold.
+//! An experiment fails — exit code 1, one `error:` line per failure — when
+//! its CSV or `BENCH_*.json` file cannot be written or, for a snapshot, one
+//! of its gates does not hold.
 //!
 //! `--profile` selects the execution profile for the GPU runs (default:
 //! `CD_GPUSIM_PROFILE`, instrumented if unset; every profile honours
@@ -25,15 +25,14 @@ use cd_bench::snapshot::Outcome;
 use cd_gpusim::Profile;
 use cd_workloads::Scale;
 use std::path::{Path, PathBuf};
-use Run::{Csv, Serve, Snapshot};
+use Run::{Plain, Serve};
 
 /// How an experiment is invoked.
 enum Run {
-    /// Prints tables and saves CSVs.
-    Csv(fn(Scale, &Path)),
-    /// Writes a `BENCH_*.json` snapshot and can fail a gate.
-    Snapshot(fn(Scale, &Path) -> Outcome),
-    /// Like `Snapshot`, also taking the `--clients` count.
+    /// Prints tables and writes CSVs or a `BENCH_*.json` snapshot; a
+    /// snapshot can also fail a gate.
+    Plain(fn(Scale, &Path) -> Outcome),
+    /// Like `Plain`, also taking the `--clients` count.
     Serve(fn(Scale, &Path, usize) -> Outcome),
 }
 
@@ -43,28 +42,28 @@ enum Run {
 /// themselves; the rest quote the instrumented cost model and would report
 /// zeros.
 const EXPERIMENTS: [(&str, Run, bool, &str); 22] = [
-    ("table1", Csv(table1), false, "graphs, sequential vs GPU times and modularity"),
-    ("fig1-2", Csv(fig1_2), false, "threshold grid: relative modularity and speedup"),
-    ("fig3-4", Csv(fig3_4), false, "speedup vs original and adaptive sequential"),
-    ("fig5-6", Csv(fig5_6), false, "per-stage breakdown (road network, KKT graph)"),
-    ("fig7", Csv(fig7), false, "GPU vs CPU-parallel (OpenMP-style) Louvain"),
-    ("relaxed", Csv(relaxed), false, "relaxed vs per-bucket community updates"),
-    ("plm", Csv(plm), false, "comparison with PLM on the four common graphs"),
-    ("teps", Csv(teps), false, "first-iteration traversed-edges-per-second rates"),
-    ("profile", Csv(profile), false, "kernel utilization counters (nvprof analogue)"),
-    ("ablation", Csv(ablation), false, "degree binning & hash placement ablations"),
-    ("buckets", Csv(buckets), true, "degree-bucket census of the workloads (Section 4.1)"),
-    ("multigpu", Csv(multigpu), true, "coarse-grained multi-device extension (Section 6)"),
-    ("schedule", Csv(schedule), false, "multi-level threshold schedules (Section 6)"),
-    ("faults", Csv(faults), false, "fault-injection sweep and multi-device failover"),
-    ("opt-bench", Snapshot(opt_snapshot), false, "optimization hot-loop perf (BENCH_opt.json)"),
-    ("backend", Snapshot(backend_snapshot), true, "profiles agree bit-for-bit (BENCH_backend)"),
-    ("racecheck", Snapshot(racecheck_sweep), true, "zero race hazards (BENCH_racecheck.json)"),
+    ("table1", Plain(table1), false, "graphs, sequential vs GPU times and modularity"),
+    ("fig1-2", Plain(fig1_2), false, "threshold grid: relative modularity and speedup"),
+    ("fig3-4", Plain(fig3_4), false, "speedup vs original and adaptive sequential"),
+    ("fig5-6", Plain(fig5_6), false, "per-stage breakdown (road network, KKT graph)"),
+    ("fig7", Plain(fig7), false, "GPU vs CPU-parallel (OpenMP-style) Louvain"),
+    ("relaxed", Plain(relaxed), false, "relaxed vs per-bucket community updates"),
+    ("plm", Plain(plm), false, "comparison with PLM on the four common graphs"),
+    ("teps", Plain(teps), false, "first-iteration traversed-edges-per-second rates"),
+    ("profile", Plain(profile), false, "kernel utilization counters (nvprof analogue)"),
+    ("ablation", Plain(ablation), false, "degree binning & hash placement ablations"),
+    ("buckets", Plain(buckets), true, "degree-bucket census of the workloads (Section 4.1)"),
+    ("multigpu", Plain(multigpu), true, "coarse-grained multi-device extension (Section 6)"),
+    ("schedule", Plain(schedule), false, "multi-level threshold schedules (Section 6)"),
+    ("faults", Plain(faults), false, "fault-injection sweep and multi-device failover"),
+    ("opt-bench", Plain(opt_snapshot), false, "optimization hot-loop perf (BENCH_opt.json)"),
+    ("backend", Plain(backend_snapshot), true, "profiles agree bit-for-bit (BENCH_backend)"),
+    ("racecheck", Plain(racecheck_sweep), true, "zero race hazards (BENCH_racecheck.json)"),
     ("serve", Serve(serve_snapshot), true, "closed-loop service replays (BENCH_serve.json)"),
-    ("overload", Snapshot(overload), true, "open-loop arrivals past the knee (BENCH_overload)"),
-    ("incremental", Snapshot(incremental), true, "warm start vs scratch (BENCH_incremental.json)"),
-    ("portfolio", Snapshot(portfolio), true, "Louvain/Leiden/LPA quality (BENCH_portfolio.json)"),
-    ("dist", Snapshot(dist), true, "sharded out-of-core execution (BENCH_dist.json)"),
+    ("overload", Plain(overload), true, "open-loop arrivals past the knee (BENCH_overload)"),
+    ("incremental", Plain(incremental), true, "warm start vs scratch (BENCH_incremental.json)"),
+    ("portfolio", Plain(portfolio), true, "Louvain/Leiden/LPA quality (BENCH_portfolio.json)"),
+    ("dist", Plain(dist), true, "sharded out-of-core execution (BENCH_dist.json)"),
 ];
 
 fn main() {
@@ -140,11 +139,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     for (_, run, _, _) in selected {
         let outcome = match run {
-            Csv(f) => {
-                f(scale, &out);
-                Ok(())
-            }
-            Snapshot(f) => f(scale, &out),
+            Plain(f) => f(scale, &out),
             Serve(f) => f(scale, &out, clients),
         };
         if let Err(errors) = outcome {

@@ -1,7 +1,8 @@
 //! One function per table/figure of the paper's evaluation (Section 5).
 //! Each prints the rows/series the paper reports and saves them as CSV.
-//! The `BENCH_*.json` snapshot experiments write through [`crate::snapshot`]
-//! and return its [`Outcome`]: `Err` lists every failed gate.
+//! The `BENCH_*.json` snapshot experiments write through [`crate::snapshot`].
+//! Every experiment returns an [`Outcome`]: `Err` lists the file that could
+//! not be written or every failed gate.
 
 use crate::report::{f4, ratio, secs, Table};
 use crate::runner::{
@@ -48,7 +49,7 @@ fn gpu_cfg(scale: Scale) -> GpuLouvainConfig {
 }
 
 /// Table 1: the workload collection with sequential and GPU running times.
-pub fn table1(scale: Scale, out: &Path) {
+pub fn table1(scale: Scale, out: &Path) -> Outcome {
     let mut t = Table::new(
         format!("Table 1 — graphs and running times (scale: {scale:?})"),
         &[
@@ -100,12 +101,12 @@ pub fn table1(scale: Scale, out: &Path) {
         avg_rel,
     );
     println!("paper: speedups 2.7x-312x (avg 41.7x) vs original sequential; modularity within 2%.");
-    let _ = t.save_csv(out, "table1");
+    t.save_csv(out, "table1")
 }
 
 /// Figs. 1 & 2: modularity and speedup over the (th_bin, th_final) grid.
 #[allow(clippy::needless_range_loop)] // triple grid indexed by (bin, final, graph)
-pub fn fig1_2(scale: Scale, out: &Path) {
+pub fn fig1_2(scale: Scale, out: &Path) -> Outcome {
     let th_bins = [1e-1, 1e-2, 1e-3, 1e-4];
     let th_finals = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7];
     let subset = comparison_subset();
@@ -150,7 +151,7 @@ pub fn fig1_2(scale: Scale, out: &Path) {
     }
     t1.print();
     println!("paper: never more than 2% below sequential; decreases as thresholds loosen.");
-    let _ = t1.save_csv(out, "fig1_modularity_grid");
+    t1.save_csv(out, "fig1_modularity_grid")?;
 
     // Fig. 2: speedup relative to the best configuration per graph.
     let mut best_t: Vec<f64> = vec![f64::INFINITY; builds.len()];
@@ -180,12 +181,12 @@ pub fn fig1_2(scale: Scale, out: &Path) {
     }
     t2.print();
     println!("paper: speedup critically depends on th_bin (higher = faster); chosen (1e-2, 1e-6) keeps >99% modularity at ~63% of best speedup.");
-    let _ = t2.save_csv(out, "fig2_speedup_grid");
+    t2.save_csv(out, "fig2_speedup_grid")
 }
 
 /// Figs. 3 & 4: GPU speedup vs the original and the adaptive sequential
 /// algorithm.
-pub fn fig3_4(scale: Scale, out: &Path) {
+pub fn fig3_4(scale: Scale, out: &Path) -> Outcome {
     let mut t = Table::new(
         format!("Figs. 3 & 4 — GPU speedup vs sequential variants (scale: {scale:?})"),
         &[
@@ -239,11 +240,11 @@ pub fn fig3_4(scale: Scale, out: &Path) {
         ratio(geometric_mean(&adapt_speed)),
         q_drop.iter().sum::<f64>() / q_drop.len() as f64
     );
-    let _ = t.save_csv(out, "fig3_4_speedups");
+    t.save_csv(out, "fig3_4_speedups")
 }
 
 /// Figs. 5 & 6: per-stage time breakdown on a road network and a KKT graph.
-pub fn fig5_6(scale: Scale, out: &Path) {
+pub fn fig5_6(scale: Scale, out: &Path) -> Outcome {
     for (fig, name) in [("Fig. 5", "road-usa"), ("Fig. 6", "nlpkkt")] {
         let spec = by_name(name).unwrap();
         let built = build(spec, scale);
@@ -276,13 +277,14 @@ pub fn fig5_6(scale: Scale, out: &Path) {
         } else {
             println!("paper: typical profile — expensive first stage, long cheap tail.");
         }
-        let _ = t.save_csv(out, &format!("fig5_6_{name}"));
+        t.save_csv(out, &format!("fig5_6_{name}"))?;
     }
+    Ok(())
 }
 
 /// Fig. 7: GPU vs the fine-grained CPU-parallel (OpenMP-style) baseline,
 /// plus the first-iteration hashing-rate comparison.
-pub fn fig7(scale: Scale, out: &Path) {
+pub fn fig7(scale: Scale, out: &Path) -> Outcome {
     let mut t = Table::new(
         format!("Fig. 7 — GPU vs CPU-parallel Louvain (scale: {scale:?})"),
         &["graph", "cpu-par[s]", "gpu-model[s]", "speedup", "Q-cpu", "Q-gpu", "hash-rate ratio"],
@@ -327,11 +329,11 @@ pub fn fig7(scale: Scale, out: &Path) {
         ratio(geometric_mean(&speeds)),
         ratio(geometric_mean(&hash_ratios)),
     );
-    let _ = t.save_csv(out, "fig7_vs_openmp");
+    t.save_csv(out, "fig7_vs_openmp")
 }
 
 /// Section 5 text: the relaxed-update experiment.
-pub fn relaxed(scale: Scale, out: &Path) {
+pub fn relaxed(scale: Scale, out: &Path) -> Outcome {
     let subset = comparison_subset();
     let mut t = Table::new(
         format!("Relaxed vs per-bucket updates (scale: {scale:?})"),
@@ -372,11 +374,11 @@ pub fn relaxed(scale: Scale, out: &Path) {
         "avg modularity ratio relaxed/bucketed: {:.4} (paper: difference < 0.13%; relaxed sometimes up to 10x slower)",
         ratios.iter().sum::<f64>() / ratios.len() as f64
     );
-    let _ = t.save_csv(out, "relaxed_updates");
+    t.save_csv(out, "relaxed_updates")
 }
 
 /// Section 5 text: comparison with PLM on the four common graphs.
-pub fn plm(scale: Scale, out: &Path) {
+pub fn plm(scale: Scale, out: &Path) -> Outcome {
     let names = ["copapers", "livejournal", "europe-osm", "uk2002"];
     let mut t = Table::new(
         format!("PLM comparison (paper: coPapersDBLP, soc-LiveJournal1, europe_osm, uk-2002; scale: {scale:?})"),
@@ -410,11 +412,11 @@ pub fn plm(scale: Scale, out: &Path) {
         ratio(geometric_mean(&speeds)),
         qs.iter().sum::<f64>() / qs.len() as f64
     );
-    let _ = t.save_csv(out, "plm_comparison");
+    t.save_csv(out, "plm_comparison")
 }
 
 /// Section 5 text: TEPS rates of the first modularity-optimization iteration.
-pub fn teps(scale: Scale, out: &Path) {
+pub fn teps(scale: Scale, out: &Path) -> Outcome {
     let mut t = Table::new(
         format!("TEPS — first-iteration edge-hashing rate (scale: {scale:?})"),
         &["graph", "arcs", "model GTEPS"],
@@ -438,11 +440,11 @@ pub fn teps(scale: Scale, out: &Path) {
         "max model rate: {:.3} GTEPS on {} (paper: 0.225 GTEPS on channel-500; Blue Gene/Q with 524,288 threads: 1.54 GTEPS, <7x higher)",
         best.0, best.1
     );
-    let _ = t.save_csv(out, "teps");
+    t.save_csv(out, "teps")
 }
 
 /// Section 5 text: hardware-utilization profile (active lanes per warp).
-pub fn profile(scale: Scale, out: &Path) {
+pub fn profile(scale: Scale, out: &Path) -> Outcome {
     let spec = by_name("uk2002").unwrap();
     let built = build(spec, scale);
     let gpu = run_gpu(&built.graph, &gpu_cfg(scale));
@@ -497,12 +499,12 @@ pub fn profile(scale: Scale, out: &Path) {
             weighted / weight
         );
     }
-    let _ = t.save_csv(out, "profile_uk2002");
+    t.save_csv(out, "profile_uk2002")
 }
 
 /// Ablations: degree-binned vs node-centric assignment and shared vs global
 /// hash placement (the design choices Section 4.1 motivates).
-pub fn ablation(scale: Scale, out: &Path) {
+pub fn ablation(scale: Scale, out: &Path) -> Outcome {
     let names = ["orkut", "uk2002", "hollywood", "road-usa"];
     let mut t = Table::new(
         format!("Ablation — thread assignment, hash placement, pruning (scale: {scale:?})"),
@@ -557,13 +559,13 @@ pub fn ablation(scale: Scale, out: &Path) {
     }
     t.print();
     println!("expected: node-centric loses most on heavy-tailed graphs (low active-lane %); global hashing costs a constant factor everywhere (shared memory ~ L1 speed, per the paper); pruning (extension) trims late-iteration work at ~equal quality.");
-    let _ = t.save_csv(out, "ablation");
+    t.save_csv(out, "ablation")
 }
 
 /// Section 4.1 motivation data: the degree-bucket census of every workload —
 /// how many vertices (and edges) each of the seven `computeMove` buckets
 /// receives, i.e. why one thread-group width cannot fit all graphs.
-pub fn buckets(scale: Scale, out: &Path) {
+pub fn buckets(scale: Scale, out: &Path) -> Outcome {
     use cd_graph::bucket_of_degree;
     let mut t = Table::new(
         format!("Degree-bucket census (scale: {scale:?})"),
@@ -606,14 +608,14 @@ pub fn buckets(scale: Scale, out: &Path) {
     }
     t.print();
     println!("the paper's load-balance argument: on heavy-tailed graphs most vertices sit in the subwarp buckets while a large share of *edges* belongs to the warp/block buckets — one thread per vertex starves either side.");
-    let _ = t.save_csv(out, "buckets");
+    t.save_csv(out, "buckets")
 }
 
 /// Extension (paper Section 6): the single-GPU algorithm as a building block
 /// for coarse-grained multi-device Louvain. Reproduces the up-to-9%
 /// modularity loss the paper's related-work section attributes to the
 /// multi-GPU scheme of Cheong et al.
-pub fn multigpu(scale: Scale, out: &Path) {
+pub fn multigpu(scale: Scale, out: &Path) -> Outcome {
     use cd_core::{louvain_multi_gpu, MultiGpuConfig};
     let names = ["orkut", "com-dblp", "road-usa"];
     let mut t = Table::new(
@@ -645,13 +647,13 @@ pub fn multigpu(scale: Scale, out: &Path) {
     t.print();
     println!("paper (related work, Cheong et al. multi-GPU): up to 9% modularity loss from partition-blind local phases.");
     println!("note: loss tracks the cut fraction — orkut's LFR stand-in shuffles vertex ids (worst case for block partitioning), road/planted graphs keep locality (mild loss, as on real collections).");
-    let _ = t.save_csv(out, "multigpu");
+    t.save_csv(out, "multigpu")
 }
 
 /// Extension (paper Section 6): "even more threshold values for varying
 /// sizes of graphs" — a geometric multi-level schedule against the paper's
 /// two-level scheme.
-pub fn schedule(scale: Scale, out: &Path) {
+pub fn schedule(scale: Scale, out: &Path) -> Outcome {
     use cd_core::{louvain_gpu_with_schedule, ThresholdSchedule};
     use cd_gpusim::Device;
     let subset = comparison_subset();
@@ -685,14 +687,14 @@ pub fn schedule(scale: Scale, out: &Path) {
     }
     t.print();
     println!("paper: suggests graded thresholds as future work; expected shape — similar quality, smoother time/quality trade.");
-    let _ = t.save_csv(out, "schedule");
+    t.save_csv(out, "schedule")
 }
 
 /// Extension (robustness): deterministic fault injection. Sweeps per-launch
 /// abort / stuck-block / bit-flip rates on single-device runs under the
 /// driver's stage-retry recovery, then exercises multi-device failover down
 /// to the sequential baseline.
-pub fn faults(scale: Scale, out: &Path) {
+pub fn faults(scale: Scale, out: &Path) -> Outcome {
     use cd_core::{louvain_gpu, louvain_multi_gpu, MultiGpuConfig, RecoveryAction};
     use cd_gpusim::{Device, FaultPlan};
 
@@ -766,7 +768,7 @@ pub fn faults(scale: Scale, out: &Path) {
     }
     t.print();
     println!("expected: recovered runs stay within a few % of fault-free modularity; model-time overhead grows with the stage-retry count.");
-    let _ = t.save_csv(out, "faults_single");
+    t.save_csv(out, "faults_single")?;
 
     let mut t2 = Table::new(
         format!("Fault injection — multi-device failover (scale: {scale:?})"),
@@ -816,7 +818,7 @@ pub fn faults(scale: Scale, out: &Path) {
     }
     t2.print();
     println!("expected: transient faults heal via retry/failover; a hopeless fleet still completes through the sequential fallback.");
-    let _ = t2.save_csv(out, "faults_multi");
+    t2.save_csv(out, "faults_multi")
 }
 
 /// Seed-commit modularity at `Scale::Medium`, captured before the
@@ -1300,7 +1302,7 @@ pub fn serve_snapshot(scale: Scale, out: &Path, clients: usize) -> Outcome {
         }
     }
     t.print();
-    let _ = t.save_csv(out, "serve_trace");
+    t.save_csv(out, "serve_trace")?;
 
     let m = &a.metrics;
     println!(
@@ -1504,7 +1506,7 @@ pub fn overload(scale: Scale, out: &Path) -> Outcome {
         sweep_rows.push((rate, r));
     }
     t.print();
-    let _ = t.save_csv(out, "overload_sweep");
+    t.save_csv(out, "overload_sweep")?;
     println!("overload: saturation knee ≈ {knee:.1} jobs/s");
 
     // Measured runs at 1×, 2×, and 5× the knee.
@@ -2198,5 +2200,16 @@ mod tests {
     #[test]
     fn subset_resolves() {
         assert!(!comparison_subset().is_empty());
+    }
+
+    #[test]
+    fn csv_experiment_fails_when_its_file_cannot_be_written() {
+        let file = std::env::temp_dir().join(format!("cd-bench-csv-{}", std::process::id()));
+        std::fs::write(&file, "a regular file").unwrap();
+        let outcome = buckets(Scale::Tiny, &file.join("out"));
+        std::fs::remove_file(&file).unwrap();
+        let errors = outcome.expect_err("a directory below a regular file cannot be created");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].starts_with("could not create"), "{errors:?}");
     }
 }

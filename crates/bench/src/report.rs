@@ -4,6 +4,7 @@
 //! paper's tables and figures report) and can persist the same data as CSV
 //! under `results/`.
 
+use crate::snapshot::{create_out_dir, Outcome};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -102,10 +103,13 @@ impl Table {
         out
     }
 
-    /// Writes the CSV next to the other experiment outputs.
-    pub fn save_csv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())
+    /// Writes the CSV next to the other experiment outputs; a directory or
+    /// file that cannot be written is the experiment's failure.
+    pub fn save_csv(&self, dir: &Path, name: &str) -> Outcome {
+        create_out_dir(dir).map_err(|e| vec![e])?;
+        let path = dir.join(format!("{name}.csv"));
+        std::fs::write(&path, self.to_csv())
+            .map_err(|e| vec![format!("could not write {}: {e}", path.display())])
     }
 }
 

@@ -120,7 +120,8 @@ fn aggregate_typed<P: ExecutionProfile>(
             ctx.global_write_scattered(1);
         })
         .map_err(GpuLouvainError::Launch)?;
-    let com = com.to_vec();
+    let mut com = com.to_vec();
+    canonical_member_order(&mut com, &vertex_start, &com_size);
 
     // ---- (iv) merge communities, bucketed by expected work ----------------
     // Scratch edge store (upper-bound layout), then per-new-vertex counts.
@@ -222,6 +223,22 @@ fn aggregate_typed<P: ExecutionProfile>(
     })
 }
 
+/// Puts every community's member list in ascending vertex id. The atomic
+/// cursor of `aggregate_order_vertices` places members in the order workers
+/// claim blocks, which at more than one thread varies run to run and with
+/// it the f64 summation order of `mergeCommunity`. One thread claims blocks
+/// in vertex order, so there every list is already sorted and this only
+/// checks it; like the extraction sort, it is host-side and charges
+/// nothing.
+fn canonical_member_order(com: &mut [u32], vertex_start: &[usize], com_size: &[u32]) {
+    for (&start, &size) in vertex_start.iter().zip(com_size) {
+        let members = &mut com[start..start + size as usize];
+        if !members.is_sorted() {
+            members.sort_unstable();
+        }
+    }
+}
+
 /// Read-only context shared by the merge kernels.
 struct MergeContext<'a> {
     g: &'a DeviceGraph,
@@ -282,20 +299,21 @@ fn merge_attempt<P: ExecutionProfile>(
     // Extract, relabel to new vertex ids, sort for a canonical CSR, and write
     // to the community's scratch range. On the device this is the
     // marked-entry prefix-sum compaction described in the paper; the sort is
-    // the simulator's way of fixing a canonical edge order.
+    // the simulator's way of fixing a canonical edge order. New ids are
+    // distinct per community, so sorting the table's claimed slots by new id
+    // fixes the order without copying the entries out.
     t.note_scan(ctx);
-    let mut entries: Vec<(u32, f64)> =
-        t.iter_filled().map(|(cj, w)| (mc.new_id[cj as usize] as u32, w)).collect();
-    entries.sort_unstable_by_key(|&(t, _)| t);
-    ctx.strided_steps(entries.len());
+    t.sort_filled_by_key(|cj| mc.new_id[cj as usize]);
+    let count = t.len();
+    ctx.strided_steps(count);
 
     let base = mc.edge_pos[c];
-    for (e, &(tgt, w)) in entries.iter().enumerate() {
-        mc.scratch_targets.store(base + e, tgt);
+    for (e, (cj, w)) in t.iter_filled().enumerate() {
+        mc.scratch_targets.store(base + e, mc.new_id[cj as usize] as u32);
         mc.scratch_weights.store(base + e, w);
     }
-    ctx.global_write_coalesced(2 * entries.len());
-    mc.new_deg.store(mc.new_id[c], entries.len() as u64);
+    ctx.global_write_coalesced(2 * count);
+    mc.new_deg.store(mc.new_id[c], count as u64);
     ctx.global_write_scattered(1);
     // End-of-task barrier: the next community's reset must not overtake this
     // community's extraction scan.
@@ -418,6 +436,21 @@ mod tests {
         assert_eq!(out.graph.num_arcs(), 1); // one merged self-loop edge
         let cg = out.graph.to_csr();
         assert_eq!(cg.self_loop(out.vertex_map[0]), 2.0);
+    }
+
+    #[test]
+    fn member_lists_are_put_in_ascending_vertex_order() {
+        // Communities {0: 3 members, 1: empty, 2: 1 member, 3: 4 members},
+        // each list permuted as a multi-threaded cursor might leave it.
+        let com_size = [3, 0, 1, 4];
+        let vertex_start = [0, 3, 3, 4];
+        let mut com = vec![9, 2, 5, 7, 8, 1, 6, 3];
+        canonical_member_order(&mut com, &vertex_start, &com_size);
+        assert_eq!(com, vec![2, 5, 9, 7, 1, 3, 6, 8]);
+        // Already canonical lists are left as they are.
+        let before = com.clone();
+        canonical_member_order(&mut com, &vertex_start, &com_size);
+        assert_eq!(com, before);
     }
 
     #[test]

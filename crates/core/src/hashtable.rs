@@ -10,6 +10,15 @@
 //! update, CAS per slot claim). Lockstep execution already serializes lanes,
 //! so the simulated CAS always succeeds — the operation counts are what the
 //! cost model consumes.
+//!
+//! Modeled and host cost differ for the whole-table passes. A table is sized
+//! for its bucket's largest task, and the device clears it and scans it for
+//! extraction in a few lockstep steps, so [`HashTable::reset`] charges a
+//! write per slot. On the host, [`TableStorage`] keeps the list of slots
+//! claimed since it was last clean — every other slot of the storage is
+//! `(EMPTY, 0.0)` — so reset, [`HashTable::iter_filled`] and
+//! [`HashTable::len`] touch only the claimed slots, whatever size the
+//! table models.
 
 use cd_gpusim::racecheck::{self, AccessKind};
 use cd_gpusim::{ExecutionProfile, GroupCtx};
@@ -47,10 +56,12 @@ impl std::fmt::Display for TableOverflow {
 
 impl std::error::Error for TableOverflow {}
 
-/// A community→weight accumulation table over borrowed storage.
+/// A community→weight accumulation table over a borrowed [`TableStorage`].
 pub struct HashTable<'t> {
     keys: &'t mut [u32],
     weights: &'t mut [f64],
+    /// The storage's claimed-slot list (see [`TableStorage`]).
+    claimed: &'t mut Vec<u32>,
     size: usize,
     space: TableSpace,
     /// Shadow identity of the backing arena for the race detector.
@@ -68,31 +79,7 @@ pub struct HashTable<'t> {
     ops: u32,
 }
 
-impl<'t> HashTable<'t> {
-    /// Wraps `size` slots of the provided scratch. `size` must be one of the
-    /// prime-ladder sizes for the probe sequence to terminate. Tables built
-    /// this way are invisible to the race detector; cooperative kernels
-    /// borrow through [`TableStorage::table`] instead.
-    #[track_caller]
-    pub fn new(
-        keys: &'t mut [u32],
-        weights: &'t mut [f64],
-        size: usize,
-        space: TableSpace,
-    ) -> Self {
-        assert!(size >= 2 && size <= keys.len() && size <= weights.len());
-        Self {
-            keys,
-            weights,
-            size,
-            space,
-            object: 0,
-            origin: Location::caller(),
-            coop: false,
-            ops: 0,
-        }
-    }
-
+impl HashTable<'_> {
     /// True when accesses to this borrow should be routed to the race
     /// detector: a cooperative table, under the `Racecheck` profile, in a
     /// group wide enough to span multiple warps (sub-warp groups are
@@ -107,13 +94,17 @@ impl<'t> HashTable<'t> {
         self.size
     }
 
-    /// Clears all slots (done once per task; counted as writes). Modeled as a
-    /// block-strided cooperative fill: slot `s` is written by lane
-    /// `s % lanes`, which is how the detector attributes the plain stores.
+    /// Clears all slots (done once per task). Modeled and charged as a
+    /// block-strided cooperative fill of every slot — slot `s` is written by
+    /// lane `s % lanes`, which is how the detector attributes the plain
+    /// stores — but on the host only the slots claimed since the last reset
+    /// are written back to `(EMPTY, 0.0)`.
     #[track_caller]
     pub fn reset<P: ExecutionProfile>(&mut self, ctx: &mut GroupCtx<P>) {
-        self.keys[..self.size].fill(EMPTY);
-        self.weights[..self.size].fill(0.0);
+        for slot in self.claimed.drain(..) {
+            self.keys[slot as usize] = EMPTY;
+            self.weights[slot as usize] = 0.0;
+        }
         self.charge_writes(ctx, self.size);
         ctx.strided_steps(self.size);
         if self.rc_active(ctx) {
@@ -237,6 +228,7 @@ impl<'t> HashTable<'t> {
                 // handle the lost-race case, which cannot arise within a
                 // serialized group.
                 self.keys[pos] = key;
+                self.claimed.push(pos as u32);
                 self.charge_cas(ctx);
                 self.weights[pos] += w;
                 self.charge_atomic_add(ctx);
@@ -318,23 +310,29 @@ impl<'t> HashTable<'t> {
         }
     }
 
-    /// Iterates the filled `(key, weight)` slots in slot order.
+    /// Iterates the filled `(key, weight)` slots in the order their slots
+    /// were claimed since the last reset (the order keys were first
+    /// inserted), unless [`HashTable::sort_filled_by_key`] reordered them.
     pub fn iter_filled(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.keys[..self.size]
-            .iter()
-            .zip(self.weights[..self.size].iter())
-            .filter(|&(&k, _)| k != EMPTY)
-            .map(|(&k, &w)| (k, w))
+        self.claimed.iter().map(|&s| (self.keys[s as usize], self.weights[s as usize]))
+    }
+
+    /// Reorders what [`HashTable::iter_filled`] yields by `f(key)` (keys are
+    /// distinct, so an injective `f` fixes the order). Host-side only: slot
+    /// positions and the modeled cost do not change.
+    pub fn sort_filled_by_key<K: Ord>(&mut self, mut f: impl FnMut(u32) -> K) {
+        let keys = &*self.keys;
+        self.claimed.sort_unstable_by_key(|&s| f(keys[s as usize]));
     }
 
     /// Number of filled slots.
     pub fn len(&self) -> usize {
-        self.keys[..self.size].iter().filter(|&&k| k != EMPTY).count()
+        self.claimed.len()
     }
 
     /// True when no slot is claimed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.claimed.is_empty()
     }
 
     fn charge_reads<P: ExecutionProfile>(&self, ctx: &mut GroupCtx<P>, n: usize) {
@@ -373,10 +371,18 @@ impl<'t> HashTable<'t> {
 /// Reusable backing storage for one block's hash table. Takes a shadow
 /// object id at construction so the race detector can tell arenas apart
 /// (and report the allocation site of the racy one).
+///
+/// Invariant: every slot not listed in `claimed` is `(EMPTY, 0.0)`. Inserts
+/// append the slots they claim; [`HashTable::reset`] clears exactly the
+/// listed slots. It holds across borrows of any size (a small table's reset
+/// clears slots a larger earlier borrow claimed) and across growth (new
+/// slots start clean).
 #[derive(Debug)]
 pub struct TableStorage {
     keys: Vec<u32>,
     weights: Vec<f64>,
+    /// Slots claimed since the storage was last clean, in claim order.
+    claimed: Vec<u32>,
     object: u64,
     origin: &'static Location<'static>,
 }
@@ -395,6 +401,7 @@ impl TableStorage {
         Self {
             keys: vec![EMPTY; capacity],
             weights: vec![0.0; capacity],
+            claimed: Vec::with_capacity(capacity),
             object: racecheck::next_object_id(),
             origin: Location::caller(),
         }
@@ -427,6 +434,7 @@ impl TableStorage {
         HashTable {
             keys: &mut self.keys,
             weights: &mut self.weights,
+            claimed: &mut self.claimed,
             size,
             space,
             object: self.object,
@@ -442,6 +450,8 @@ mod tests {
     use super::*;
     use crate::primes::table_size_for;
     use cd_gpusim::{BlockCounters, GroupCtx};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn with_ctx<R>(f: impl FnOnce(&mut GroupCtx) -> R) -> (R, BlockCounters) {
         let mut counters = BlockCounters::default();
@@ -592,12 +602,124 @@ mod tests {
         });
     }
 
+    /// Asserts the storage is clean: nothing claimed, every slot
+    /// `(EMPTY, +0.0)`.
+    fn assert_clean(storage: &TableStorage) {
+        assert!(storage.claimed.is_empty(), "claimed slots left: {:?}", storage.claimed);
+        for (slot, (&k, &w)) in storage.keys.iter().zip(&storage.weights).enumerate() {
+            assert_eq!((k, w.to_bits()), (EMPTY, 0), "stale slot {slot}");
+        }
+    }
+
+    #[test]
+    fn overflowed_attempt_leaves_no_stale_slot() {
+        let small = table_size_for(2).unwrap(); // 5 — too small for 12 keys
+        let keys: Vec<u32> = (0..12u32).map(|k| k * 7919).collect();
+        let mut storage = TableStorage::with_capacity(small);
+        let mut sizes = Vec::new();
+        let space = TableSpace::Shared;
+        with_ctx(|ctx| {
+            crate::bucketed::with_table_retry(ctx, &mut storage, small, space, |ctx, t| {
+                sizes.push(t.size());
+                t.reset(ctx);
+                for &k in &keys {
+                    t.try_insert_add(ctx, k, 1.5)?;
+                }
+                Ok(())
+            });
+            assert!(sizes.len() > 1, "the attempt must have overflowed at least once");
+            // The next task borrows the original (smaller) size; its reset
+            // must also clear the slots the grown table claimed beyond it.
+            let mut t = storage.table(small, TableSpace::Shared);
+            t.reset(ctx);
+            assert!(t.is_empty());
+            assert!(keys.iter().all(|&k| t.get(ctx, k) == 0.0));
+        });
+        assert_clean(&storage);
+    }
+
+    /// One step of the reference-checked table sequence.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(u32, f64),
+        Get(u32),
+        /// Borrow a table of `SIZES[i]` slots and reset it.
+        Reset(usize),
+    }
+
+    const SIZES: [usize; 6] = [5, 7, 13, 31, 53, 97];
+
+    /// Inserts, gets and resets in proportion 6 : 2 : 1.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..9, 0u32..70, -4.0f64..4.0, 0..SIZES.len()).prop_map(|(kind, k, w, i)| match kind {
+            0..=5 => Op::Insert(k, w),
+            6 | 7 => Op::Get(k),
+            _ => Op::Reset(i),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        #[test]
+        fn claimed_slot_table_matches_a_map_across_sizes(
+            first in 0..SIZES.len(),
+            ops in proptest::collection::vec(op(), 0..200),
+        ) {
+            let mut storage = TableStorage::with_capacity(4);
+            let mut size = SIZES[first];
+            // Reference: key -> accumulated weight, plus first-insert order.
+            let mut map: HashMap<u32, f64> = HashMap::new();
+            let mut order: Vec<u32> = Vec::new();
+            with_ctx(|ctx| storage.table(size, TableSpace::Shared).reset(ctx));
+            assert_clean(&storage);
+            for op in ops {
+                match op {
+                    Op::Reset(i) => {
+                        size = SIZES[i];
+                        with_ctx(|ctx| storage.table(size, TableSpace::Shared).reset(ctx));
+                        assert_clean(&storage);
+                        map.clear();
+                        order.clear();
+                    }
+                    Op::Insert(k, w) => {
+                        let full = !map.contains_key(&k) && map.len() == size;
+                        let (got, _) = with_ctx(|ctx| {
+                            storage.table(size, TableSpace::Shared).try_insert_add(ctx, k, w)
+                        });
+                        if full {
+                            prop_assert_eq!(got, Err(TableOverflow { size }));
+                        } else {
+                            let acc = map.entry(k).or_insert_with(|| {
+                                order.push(k);
+                                0.0
+                            });
+                            *acc += w;
+                            let (slot, running) = got.expect("room in the table");
+                            prop_assert!(slot < size);
+                            prop_assert_eq!(running.to_bits(), acc.to_bits());
+                        }
+                    }
+                    Op::Get(k) => {
+                        let (got, _) =
+                            with_ctx(|ctx| storage.table(size, TableSpace::Shared).get(ctx, k));
+                        prop_assert_eq!(got.to_bits(), map.get(&k).copied().unwrap_or(0.0).to_bits());
+                    }
+                }
+                let t = storage.table(size, TableSpace::Shared);
+                let want: Vec<(u32, u64)> = order.iter().map(|k| (*k, map[k].to_bits())).collect();
+                let got: Vec<(u32, u64)> = t.iter_filled().map(|(k, w)| (k, w.to_bits())).collect();
+                prop_assert_eq!(got, want, "iter_filled yields claim order");
+                prop_assert_eq!(t.len(), map.len());
+            }
+        }
+    }
+
     #[test]
     fn probe_sequence_covers_table() {
         let size = 13;
-        let mut keys = vec![EMPTY; size];
-        let mut weights = vec![0.0; size];
-        let t = HashTable::new(&mut keys, &mut weights, size, TableSpace::Shared);
+        let mut storage = TableStorage::with_capacity(size);
+        let t = storage.table(size, TableSpace::Shared);
         for key in [0u32, 1, 12, 911, u32::MAX - 1] {
             let mut seen = std::collections::HashSet::new();
             for it in 0..size {

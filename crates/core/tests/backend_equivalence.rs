@@ -231,3 +231,48 @@ fn aggregation_identical_across_profiles() {
     assert_eq!(bits(&a), bits(&d));
     assert!(rc.race_reports().is_empty(), "racecheck flagged aggregation: {:?}", rc.race_reports());
 }
+
+#[test]
+fn aggregation_identical_across_thread_counts() {
+    // Member order decides the f64 summation order of `mergeCommunity`, and
+    // the order-vertices cursor places members in the order workers claim
+    // blocks. Communities `v % 61` spread every community over every block
+    // of the launch, and the weights are fractional, so a member order that
+    // followed the claim order would change weight bits.
+    const N: u32 = 6000;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let edges: Vec<(u32, u32, f64)> = (0..6 * N)
+        .map(|_| {
+            let u = (next() % N as u64) as u32;
+            let v = (next() % N as u64) as u32;
+            (u, v, 0.1 + (next() % 1000) as f64 / 7.0)
+        })
+        .collect();
+    let g = cd_graph::csr_from_edges(N as usize, &edges);
+    let dg = cd_core::DeviceGraph::from_csr(&g);
+    let comm: Vec<u32> = (0..N).map(|v| v % 61).collect();
+    let cfg = GpuLouvainConfig::paper_default();
+    let contract = |threads: usize| {
+        let dev = Device::new(
+            DeviceConfig::tesla_k40m().with_profile(Profile::Parallel).with_threads(threads),
+        );
+        let out = cd_core::aggregate_graph(&dev, &dg, &comm, &cfg).unwrap();
+        let bits: Vec<u64> = out.graph.weights.iter().map(|w| w.to_bits()).collect();
+        (out.graph.offsets, out.graph.targets, bits)
+    };
+    let reference = contract(1);
+    for rep in 0..6 {
+        for threads in [1, 8] {
+            let got = contract(threads);
+            assert_eq!(got.0, reference.0, "rep {rep} threads {threads}: offsets");
+            assert_eq!(got.1, reference.1, "rep {rep} threads {threads}: targets");
+            assert_eq!(got.2, reference.2, "rep {rep} threads {threads}: weight bits");
+        }
+    }
+}

@@ -240,6 +240,7 @@ macro_rules! pooled_guard {
 
         impl Deref for $guard<'_> {
             type Target = $target;
+            #[inline]
             fn deref(&self) -> &$target {
                 self.buf.as_ref().expect("pooled buffer taken")
             }
