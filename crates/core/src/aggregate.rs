@@ -163,10 +163,10 @@ fn aggregate_typed<P: ExecutionProfile>(
         let kernel = MERGE_KERNELS[bucket_idx];
         if spec.is_open_ended() {
             let slots = sort_open_ended(dev, &mut ids, |c| com_degree[c as usize] as usize)?;
-            launch_open_ended(dev, cfg, kernel, &ids, &slots, attempt)?;
+            launch_open_ended(dev, cfg, kernel, n, &ids, &slots, attempt)?;
         } else {
             let task_id = |_: &mut GroupCtx<P>, task: usize| ids[task] as usize;
-            launch_bounded(dev, cfg, kernel, ids.len(), spec, task_id, attempt)?;
+            launch_bounded(dev, cfg, kernel, n, ids.len(), spec, task_id, attempt)?;
         }
     }
 

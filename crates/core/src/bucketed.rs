@@ -61,8 +61,13 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    pub(crate) fn new(table_slots: usize) -> Self {
-        Self { table: TableStorage::with_capacity(table_slots), lane_best: vec![(0.0, 0); 128] }
+    /// Scratch for profile `P` with a table of `table_slots` slots over
+    /// keys `0..key_domain` (see [`TableStorage::new`]).
+    pub(crate) fn new<P: ExecutionProfile>(table_slots: usize, key_domain: usize) -> Self {
+        Self {
+            table: TableStorage::new::<P>(table_slots, key_domain),
+            lane_best: vec![(0.0, 0); 128],
+        }
     }
 }
 
@@ -102,13 +107,16 @@ pub(crate) fn with_table_retry<P: ExecutionProfile>(
 }
 
 /// Launches one bounded bucket as kernel `name`: `n_tasks` tasks on groups
-/// of `spec.lanes` lanes, each with a table sized for `spec.max_work`.
-/// `task_id` maps a task index to the id its attempt runs on and charges
-/// the read that costs; `attempt` is the family's per-task body.
+/// of `spec.lanes` lanes, each with a table sized for `spec.max_work` over
+/// keys `0..key_domain`. `task_id` maps a task index to the id its attempt
+/// runs on and charges the read that costs; `attempt` is the family's
+/// per-task body.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn launch_bounded<P, I, A>(
     dev: &Device,
     cfg: &GpuLouvainConfig,
     name: &str,
+    key_domain: usize,
     n_tasks: usize,
     spec: BucketSpec,
     task_id: I,
@@ -130,7 +138,7 @@ where
             n_tasks,
             spec.lanes,
             shared_bytes,
-            || Scratch::new(slots),
+            || Scratch::new::<P>(slots, key_domain),
             |ctx, scratch, task| {
                 let id = task_id(ctx, task);
                 let Scratch { table, lane_best } = scratch;
@@ -142,13 +150,14 @@ where
 
 /// Launches the open-ended bucket as kernel `name`. `sorted` holds the task
 /// ids by descending work (see [`sort_open_ended`]) and `slots` each
-/// task's table size. Tasks are dealt interleaved to
-/// `cfg.global_bucket_blocks` block-wide groups, and every table lives in
-/// global memory. `sorted` must not be empty.
+/// task's table size; keys lie in `0..key_domain`. Tasks are dealt
+/// interleaved to `cfg.global_bucket_blocks` block-wide groups, and every
+/// table lives in global memory. `sorted` must not be empty.
 pub(crate) fn launch_open_ended<P, A>(
     dev: &Device,
     cfg: &GpuLouvainConfig,
     name: &str,
+    key_domain: usize,
     sorted: &[u32],
     slots: &[usize],
     attempt: A,
@@ -165,7 +174,7 @@ where
             n_blocks,
             // A block's largest task is its first (interleaved deal of a
             // descending sort), so one allocation serves all its tasks.
-            |block| Scratch::new(slots[block]),
+            |block| Scratch::new::<P>(slots[block], key_domain),
             |ctx, scratch| {
                 let mut idx = ctx.block_id;
                 while idx < sorted.len() {
@@ -230,13 +239,14 @@ impl HostBins {
     }
 
     /// Launches every non-empty bucket in bucket order, bucket `b` as kernel
-    /// `kernels[b]`. A bounded-bucket task charges one coalesced read of
-    /// its id.
+    /// `kernels[b]`, over keys `0..key_domain`. A bounded-bucket task
+    /// charges one coalesced read of its id.
     pub(crate) fn launch<P, A>(
         &self,
         dev: &Device,
         cfg: &GpuLouvainConfig,
         kernels: &[&str; BOUNDED + 1],
+        key_domain: usize,
         attempt: A,
     ) -> Result<(), GpuLouvainError>
     where
@@ -251,10 +261,12 @@ impl HostBins {
                 ctx.global_read_coalesced(1);
                 ids[task] as usize
             };
-            launch_bounded(dev, cfg, kernels[b], ids.len(), MODOPT_BUCKETS[b], task_id, &attempt)?;
+            let spec = MODOPT_BUCKETS[b];
+            launch_bounded(dev, cfg, kernels[b], key_domain, ids.len(), spec, task_id, &attempt)?;
         }
         if !self.open.is_empty() {
-            launch_open_ended(dev, cfg, kernels[BOUNDED], &self.open, &self.open_slots, &attempt)?;
+            let (open, slots) = (&self.open, &self.open_slots);
+            launch_open_ended(dev, cfg, kernels[BOUNDED], key_domain, open, slots, &attempt)?;
         }
         Ok(())
     }

@@ -132,7 +132,10 @@ fn halo_typed<P: ExecutionProfile>(
     let bins = HostBins::build(dev, 0..n_owned as u32, |pos| {
         view.graph.degree(view.owned[pos as usize] as usize)
     })?;
-    bins.launch(dev, cfg, &HALO_MOVE_KERNELS, |ctx, table, lane_best, pos| {
+    // Keys are global community ids; the largest resident label bounds
+    // them.
+    let key_domain = view.labels.iter().max().map_or(0, |&l| l as usize + 1);
+    bins.launch(dev, cfg, &HALO_MOVE_KERNELS, key_domain, |ctx, table, lane_best, pos| {
         move_attempt::<P>(ctx, view, &proposals, table, lane_best, pos)
     })?;
     Ok(proposals.to_vec())
@@ -194,7 +197,7 @@ fn move_attempt<P: ExecutionProfile>(
         }
         let w = ws[idx];
         let cj = view.labels[j];
-        let (_slot, running) = table.try_insert_add(ctx, cj, w)?;
+        let running = table.try_insert_add(ctx, cj, w)?;
         if cj == ci {
             continue; // home community: the stay option, evaluated below
         }

@@ -19,10 +19,25 @@
 //! `(EMPTY, 0.0)` — so reset, [`HashTable::iter_filled`] and
 //! [`HashTable::len`] touch only the claimed slots, whatever size the
 //! table models.
+//!
+//! They differ for the probe walk too. `Instrumented` and `Racecheck` walk
+//! the double-hashing sequence, because their counters and shadow records
+//! are per slot position. Under `Parallel`, which records nothing, a
+//! storage built by [`TableStorage::new`] resolves a key through a
+//! direct-indexed *key index* over the key domain (the graph's community
+//! ids) and claims slots `0, 1, 2, …` in order: the per-thread accumulator
+//! arrays of CPU Louvain codes. Claim order, `len`, every running weight
+//! (`0.0 + w₁ + w₂ + …` in insert order) and every overflow are the same
+//! as the probe walk's, so results are bit-identical across profiles.
+//! Key indexes are pooled process-wide: a storage takes a spare when it is
+//! built and returns it clean when dropped, so a launch allocates no index
+//! once the process has seen its largest key domain.
 
 use cd_gpusim::racecheck::{self, AccessKind};
 use cd_gpusim::{ExecutionProfile, GroupCtx};
 use std::panic::Location;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Sentinel for an unclaimed slot (the paper's `null`; community ids are
 /// 32-bit, so `u32::MAX` is never a valid id).
@@ -62,6 +77,8 @@ pub struct HashTable<'t> {
     weights: &'t mut [f64],
     /// The storage's claimed-slot list (see [`TableStorage`]).
     claimed: &'t mut Vec<u32>,
+    /// The storage's key index (empty unless built for `Parallel`).
+    index: &'t mut [u32],
     size: usize,
     space: TableSpace,
     /// Shadow identity of the backing arena for the race detector.
@@ -98,13 +115,11 @@ impl HashTable<'_> {
     /// block-strided cooperative fill of every slot — slot `s` is written by
     /// lane `s % lanes`, which is how the detector attributes the plain
     /// stores — but on the host only the slots claimed since the last reset
-    /// are written back to `(EMPTY, 0.0)`.
+    /// are written back to `(EMPTY, 0.0)`, and their keys' index entries
+    /// to `EMPTY`.
     #[track_caller]
     pub fn reset<P: ExecutionProfile>(&mut self, ctx: &mut GroupCtx<P>) {
-        for slot in self.claimed.drain(..) {
-            self.keys[slot as usize] = EMPTY;
-            self.weights[slot as usize] = 0.0;
-        }
+        unclaim(self.claimed, self.keys, self.weights, self.index);
         self.charge_writes(ctx, self.size);
         ctx.strided_steps(self.size);
         if self.rc_active(ctx) {
@@ -145,9 +160,9 @@ impl HashTable<'_> {
     }
 
     /// Algorithm 2, lines 2-13: accumulate `w` onto `key`'s slot, claiming a
-    /// slot with CAS when the key is not yet present. Returns the slot index
-    /// and its weight *after* the update (the "current value" a lane tracks
-    /// its local best with).
+    /// slot with CAS when the key is not yet present. Returns the key's
+    /// weight *after* the update (the "current value" a lane tracks its
+    /// local best with).
     ///
     /// Panics if the table is full; fault-tolerant kernels use
     /// [`HashTable::try_insert_add`] and retry the task with a larger table.
@@ -157,31 +172,46 @@ impl HashTable<'_> {
         ctx: &mut GroupCtx<P>,
         key: u32,
         w: f64,
-    ) -> (usize, f64) {
+    ) -> f64 {
         self.try_insert_add(ctx, key, w).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible form of [`HashTable::insert_add`]: a full table is returned
     /// as a [`TableOverflow`] instead of panicking, so the caller can retry
-    /// the whole task against a resized table.
-    ///
-    /// Probe visits are recorded as *atomic* accesses for the race detector:
-    /// the key read is part of the CAS-validated lock-free claim protocol
-    /// (Alg. 2 lines 9-13), so concurrent inserts from different warps are
-    /// ordered by the hardware atomics — only pairings with the plain stores
-    /// of [`HashTable::reset`] or the plain loads of extraction constitute
-    /// hazards.
+    /// the whole task against a resized table. The probe walk runs under
+    /// the instrumented profiles; `Parallel` resolves the key through the
+    /// key index (see the module docs).
     #[track_caller]
+    #[inline]
     pub fn try_insert_add<P: ExecutionProfile>(
         &mut self,
         ctx: &mut GroupCtx<P>,
         key: u32,
         w: f64,
-    ) -> Result<(usize, f64), TableOverflow> {
+    ) -> Result<f64, TableOverflow> {
         debug_assert_ne!(key, EMPTY);
+        if !P::INSTRUMENTED {
+            return self.indexed_insert_add(key, w);
+        }
         // `Location::caller()` must be taken directly in this #[track_caller]
         // body (a closure would see its own definition site).
-        let site = Location::caller();
+        self.probe_insert_add(ctx, key, w, Location::caller())
+    }
+
+    /// The probe walk of [`HashTable::try_insert_add`]. Probe visits are
+    /// recorded as *atomic* accesses for the race detector: the key read is
+    /// part of the CAS-validated lock-free claim protocol (Alg. 2 lines
+    /// 9-13), so concurrent inserts from different warps are ordered by the
+    /// hardware atomics — only pairings with the plain stores of
+    /// [`HashTable::reset`] or the plain loads of extraction constitute
+    /// hazards.
+    fn probe_insert_add<P: ExecutionProfile>(
+        &mut self,
+        ctx: &mut GroupCtx<P>,
+        key: u32,
+        w: f64,
+        site: &'static Location<'static>,
+    ) -> Result<f64, TableOverflow> {
         let rc = if self.rc_active(ctx) {
             // Attribute this insert to a rotating lane: lockstep execution
             // erases the issuing lane, but on hardware consecutive arcs are
@@ -220,7 +250,7 @@ impl HashTable<'_> {
                 // Key already claimed: atomicAdd the weight (line 7).
                 self.weights[pos] += w;
                 self.charge_atomic_add(ctx);
-                return Ok((pos, self.weights[pos]));
+                return Ok(self.weights[pos]);
             }
             if k == EMPTY {
                 // Claim the slot with CAS (line 9). Lockstep execution means
@@ -232,7 +262,7 @@ impl HashTable<'_> {
                 self.charge_cas(ctx);
                 self.weights[pos] += w;
                 self.charge_atomic_add(ctx);
-                return Ok((pos, self.weights[pos]));
+                return Ok(self.weights[pos]);
             }
             // Occupied by another community: continue the probe sequence.
             pos += stride;
@@ -242,12 +272,58 @@ impl HashTable<'_> {
         }
     }
 
+    /// The `Parallel` insert: a claimed key's slot comes from the key
+    /// index, and a new key claims the next slot in order. The table
+    /// overflows exactly when the probe walk would — a new key with every
+    /// slot claimed.
+    #[inline]
+    fn indexed_insert_add(&mut self, key: u32, w: f64) -> Result<f64, TableOverflow> {
+        let slot = match self.indexed_slot(key) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.claimed.len();
+                if slot == self.size {
+                    return Err(TableOverflow { size: self.size });
+                }
+                self.keys[slot] = key;
+                self.claimed.push(slot as u32);
+                if let Some(entry) = self.index.get_mut(key as usize) {
+                    *entry = slot as u32;
+                }
+                slot
+            }
+        };
+        self.weights[slot] += w;
+        Ok(self.weights[slot])
+    }
+
+    /// The slot holding `key` under `Parallel`, if claimed. A key outside
+    /// the index's domain (possible only with corrupted labels) is found by
+    /// a scan of the claimed slots, so a bad key never grows the index.
+    #[inline]
+    fn indexed_slot(&self, key: u32) -> Option<usize> {
+        match self.index.get(key as usize) {
+            Some(&EMPTY) => None,
+            Some(&slot) => Some(slot as usize),
+            None => self.scan_claimed(key),
+        }
+    }
+
+    #[cold]
+    fn scan_claimed(&self, key: u32) -> Option<usize> {
+        self.claimed.iter().map(|&s| s as usize).find(|&s| self.keys[s] == key)
+    }
+
     /// Looks up the accumulated weight for `key` (0 when absent). The lookup
     /// is a *plain* load (extraction side): the detector flags it against any
     /// unordered concurrent insert, which is exactly the fill→read
     /// missing-barrier hazard.
     #[track_caller]
+    #[inline]
     pub fn get<P: ExecutionProfile>(&self, ctx: &mut GroupCtx<P>, key: u32) -> f64 {
+        if !P::INSTRUMENTED {
+            return self.indexed_slot(key).map_or(0.0, |slot| self.weights[slot]);
+        }
         let site = Location::caller();
         let rc = self.rc_active(ctx).then_some(site);
         let mut pos = self.h1(key);
@@ -258,7 +334,7 @@ impl HashTable<'_> {
                 return 0.0;
             }
             it += 1;
-            self.charge_reads_const(ctx, 1);
+            self.charge_reads(ctx, 1);
             if let Some(site) = rc {
                 racecheck::record_shared(self.object, self.origin, pos, 0, AccessKind::Read, site);
             }
@@ -274,16 +350,6 @@ impl HashTable<'_> {
                 pos -= self.size;
             }
         }
-    }
-
-    /// Key stored at a slot (`EMPTY` if unclaimed).
-    pub fn key_at(&self, pos: usize) -> u32 {
-        self.keys[pos]
-    }
-
-    /// Weight stored at a slot.
-    pub fn weight_at(&self, pos: usize) -> f64 {
-        self.weights[pos]
     }
 
     /// Tells the race detector the group is about to scan every slot with
@@ -342,10 +408,6 @@ impl HashTable<'_> {
         }
     }
 
-    fn charge_reads_const<P: ExecutionProfile>(&self, ctx: &mut GroupCtx<P>, n: usize) {
-        self.charge_reads(ctx, n);
-    }
-
     fn charge_writes<P: ExecutionProfile>(&self, ctx: &mut GroupCtx<P>, n: usize) {
         match self.space {
             TableSpace::Shared => ctx.shared_access(n),
@@ -368,13 +430,59 @@ impl HashTable<'_> {
     }
 }
 
+/// Writes every claimed slot back to `(EMPTY, 0.0)` and its key's index
+/// entry (if the key is in the index's domain) back to `EMPTY`, leaving the
+/// claimed list empty.
+fn unclaim(claimed: &mut Vec<u32>, keys: &mut [u32], weights: &mut [f64], index: &mut [u32]) {
+    for slot in claimed.drain(..) {
+        let key = std::mem::replace(&mut keys[slot as usize], EMPTY);
+        weights[slot as usize] = 0.0;
+        if let Some(entry) = index.get_mut(key as usize) {
+            *entry = EMPTY;
+        }
+    }
+}
+
+/// Key indexes returned by dropped storages, every entry `EMPTY`. Each
+/// update is one push or removal of a whole clean index, so the pool is
+/// valid even after a panic poisoned the lock, and users recover it.
+static SPARE_INDEXES: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
+
+/// Bytes of key-index capacity allocated in this process so far.
+static INDEX_BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes of key-index capacity this process has allocated. A process
+/// allocates index bytes only when a storage needs a larger key domain
+/// than every spare index holds, so repeating a launch adds nothing.
+pub fn key_index_bytes_allocated() -> u64 {
+    INDEX_BYTES_ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// Takes the largest spare key index and grows it to cover `domain` keys.
+fn acquire_index(domain: usize) -> Vec<u32> {
+    let mut index = {
+        let mut spares = SPARE_INDEXES.lock().unwrap_or_else(PoisonError::into_inner);
+        let largest = (0..spares.len()).max_by_key(|&i| spares[i].len());
+        largest.map(|i| spares.swap_remove(i)).unwrap_or_default()
+    };
+    if index.len() < domain {
+        let before = index.capacity();
+        index.resize(domain, EMPTY);
+        let grown = (index.capacity() - before) * std::mem::size_of::<u32>();
+        INDEX_BYTES_ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
+    }
+    index
+}
+
 /// Reusable backing storage for one block's hash table. Takes a shadow
 /// object id at construction so the race detector can tell arenas apart
 /// (and report the allocation site of the racy one).
 ///
-/// Invariant: every slot not listed in `claimed` is `(EMPTY, 0.0)`. Inserts
-/// append the slots they claim; [`HashTable::reset`] clears exactly the
-/// listed slots. It holds across borrows of any size (a small table's reset
+/// Invariant: every slot not listed in `claimed` is `(EMPTY, 0.0)`, and
+/// every key-index entry is `EMPTY` except those of claimed keys, which
+/// hold their slot. Inserts append the slots they claim;
+/// [`HashTable::reset`] clears exactly the listed slots and their index
+/// entries. It holds across borrows of any size (a small table's reset
 /// clears slots a larger earlier borrow claimed) and across growth (new
 /// slots start clean).
 #[derive(Debug)]
@@ -383,6 +491,9 @@ pub struct TableStorage {
     weights: Vec<f64>,
     /// Slots claimed since the storage was last clean, in claim order.
     claimed: Vec<u32>,
+    /// Key → claimed slot over the key domain (`Parallel` storages only;
+    /// taken from and returned to [`SPARE_INDEXES`]).
+    index: Vec<u32>,
     object: u64,
     origin: &'static Location<'static>,
 }
@@ -394,14 +505,42 @@ impl Default for TableStorage {
     }
 }
 
+impl Drop for TableStorage {
+    fn drop(&mut self) {
+        if self.index.is_empty() {
+            return;
+        }
+        unclaim(&mut self.claimed, &mut self.keys, &mut self.weights, &mut self.index);
+        let index = std::mem::take(&mut self.index);
+        SPARE_INDEXES.lock().unwrap_or_else(PoisonError::into_inner).push(index);
+    }
+}
+
 impl TableStorage {
-    /// Storage able to hold tables up to `capacity` slots.
+    /// Storage able to hold tables up to `capacity` slots, for kernels of
+    /// profile `P` whose keys lie in `0..key_domain`. A `Parallel` storage
+    /// takes a key index covering the domain (a key outside it still works,
+    /// by a scan of the claimed slots); the instrumented profiles walk the
+    /// probe sequence and take none.
+    #[track_caller]
+    pub fn new<P: ExecutionProfile>(capacity: usize, key_domain: usize) -> Self {
+        let mut storage = Self::with_capacity(capacity);
+        if !P::INSTRUMENTED {
+            storage.index = acquire_index(key_domain);
+        }
+        storage
+    }
+
+    /// Storage able to hold tables up to `capacity` slots, without a key
+    /// index: every profile, `Parallel` included, gets the same results
+    /// from it, but only the instrumented profiles at full speed.
     #[track_caller]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             keys: vec![EMPTY; capacity],
             weights: vec![0.0; capacity],
             claimed: Vec::with_capacity(capacity),
+            index: Vec::new(),
             object: racecheck::next_object_id(),
             origin: Location::caller(),
         }
@@ -435,6 +574,7 @@ impl TableStorage {
             keys: &mut self.keys,
             weights: &mut self.weights,
             claimed: &mut self.claimed,
+            index: &mut self.index,
             size,
             space,
             object: self.object,
@@ -449,7 +589,9 @@ impl TableStorage {
 mod tests {
     use super::*;
     use crate::primes::table_size_for;
-    use cd_gpusim::{BlockCounters, GroupCtx};
+    use cd_gpusim::{
+        BlockCounters, Device, DeviceConfig, GroupCtx, Instrumented, Parallel, Profile,
+    };
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -470,7 +612,7 @@ mod tests {
             t.reset(ctx);
             t.insert_add(ctx, 5, 1.0);
             t.insert_add(ctx, 7, 2.0);
-            let (_, running) = t.insert_add(ctx, 5, 0.5);
+            let running = t.insert_add(ctx, 5, 0.5);
             assert_eq!(running, 1.5);
             assert_eq!(t.get(ctx, 5), 1.5);
             assert_eq!(t.get(ctx, 7), 2.0);
@@ -603,11 +745,14 @@ mod tests {
     }
 
     /// Asserts the storage is clean: nothing claimed, every slot
-    /// `(EMPTY, +0.0)`.
+    /// `(EMPTY, +0.0)`, every key-index entry `EMPTY`.
     fn assert_clean(storage: &TableStorage) {
         assert!(storage.claimed.is_empty(), "claimed slots left: {:?}", storage.claimed);
         for (slot, (&k, &w)) in storage.keys.iter().zip(&storage.weights).enumerate() {
             assert_eq!((k, w.to_bits()), (EMPTY, 0), "stale slot {slot}");
+        }
+        if let Some(key) = storage.index.iter().position(|&e| e != EMPTY) {
+            panic!("stale index entry for key {key}");
         }
     }
 
@@ -649,6 +794,10 @@ mod tests {
 
     const SIZES: [usize; 6] = [5, 7, 13, 31, 53, 97];
 
+    /// Key domain of the `Parallel` storage: keys are drawn from `0..70`, so
+    /// the sequences also take the out-of-domain scan.
+    const DOMAIN: usize = 64;
+
     /// Inserts, gets and resets in proportion 6 : 2 : 1.
     fn op() -> impl Strategy<Value = Op> {
         (0u32..9, 0u32..70, -4.0f64..4.0, 0..SIZES.len()).prop_map(|(kind, k, w, i)| match kind {
@@ -658,61 +807,150 @@ mod tests {
         })
     }
 
+    /// Applies `op` to a `size`-slot table of `storage` under profile `P`:
+    /// an insert's running weight bits or overflow, a lookup's bits, or
+    /// `None` for a reset.
+    fn apply<P: ExecutionProfile>(
+        storage: &mut TableStorage,
+        size: usize,
+        op: &Op,
+    ) -> Option<Result<u64, TableOverflow>> {
+        let mut counters = BlockCounters::default();
+        let mut ctx = GroupCtx::<P>::typed(0, 32, &mut counters);
+        let mut t = storage.table(size, TableSpace::Shared);
+        match *op {
+            Op::Insert(k, w) => Some(t.try_insert_add(&mut ctx, k, w).map(f64::to_bits)),
+            Op::Get(k) => Some(Ok(t.get(&mut ctx, k).to_bits())),
+            Op::Reset(_) => {
+                t.reset(&mut ctx);
+                None
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
+        /// The probe walk (`Instrumented`) and the key index (`Parallel`)
+        /// replay every sequence bit for bit against a map: same running
+        /// weights, lookups and overflows, same claim order and `len`, and
+        /// a clean storage (index included) after every reset.
         #[test]
         fn claimed_slot_table_matches_a_map_across_sizes(
             first in 0..SIZES.len(),
             ops in proptest::collection::vec(op(), 0..200),
         ) {
-            let mut storage = TableStorage::with_capacity(4);
+            let mut probe = TableStorage::new::<Instrumented>(4, DOMAIN);
+            let mut indexed = TableStorage::new::<Parallel>(4, DOMAIN);
+            prop_assert!(probe.index.is_empty());
+            prop_assert!(indexed.index.len() >= DOMAIN);
             let mut size = SIZES[first];
             // Reference: key -> accumulated weight, plus first-insert order.
             let mut map: HashMap<u32, f64> = HashMap::new();
             let mut order: Vec<u32> = Vec::new();
-            with_ctx(|ctx| storage.table(size, TableSpace::Shared).reset(ctx));
-            assert_clean(&storage);
-            for op in ops {
+            for op in std::iter::once(Op::Reset(first)).chain(ops) {
+                if let Op::Reset(i) = op {
+                    size = SIZES[i];
+                }
+                let got = apply::<Instrumented>(&mut probe, size, &op);
+                prop_assert_eq!(apply::<Parallel>(&mut indexed, size, &op), got);
                 match op {
-                    Op::Reset(i) => {
-                        size = SIZES[i];
-                        with_ctx(|ctx| storage.table(size, TableSpace::Shared).reset(ctx));
-                        assert_clean(&storage);
+                    Op::Reset(_) => {
+                        assert_clean(&probe);
+                        assert_clean(&indexed);
                         map.clear();
                         order.clear();
                     }
                     Op::Insert(k, w) => {
-                        let full = !map.contains_key(&k) && map.len() == size;
-                        let (got, _) = with_ctx(|ctx| {
-                            storage.table(size, TableSpace::Shared).try_insert_add(ctx, k, w)
-                        });
-                        if full {
-                            prop_assert_eq!(got, Err(TableOverflow { size }));
+                        if !map.contains_key(&k) && map.len() == size {
+                            prop_assert_eq!(got, Some(Err(TableOverflow { size })));
                         } else {
                             let acc = map.entry(k).or_insert_with(|| {
                                 order.push(k);
                                 0.0
                             });
                             *acc += w;
-                            let (slot, running) = got.expect("room in the table");
-                            prop_assert!(slot < size);
-                            prop_assert_eq!(running.to_bits(), acc.to_bits());
+                            prop_assert_eq!(got, Some(Ok(acc.to_bits())));
                         }
                     }
                     Op::Get(k) => {
-                        let (got, _) =
-                            with_ctx(|ctx| storage.table(size, TableSpace::Shared).get(ctx, k));
-                        prop_assert_eq!(got.to_bits(), map.get(&k).copied().unwrap_or(0.0).to_bits());
+                        let want = map.get(&k).copied().unwrap_or(0.0).to_bits();
+                        prop_assert_eq!(got, Some(Ok(want)));
                     }
                 }
-                let t = storage.table(size, TableSpace::Shared);
                 let want: Vec<(u32, u64)> = order.iter().map(|k| (*k, map[k].to_bits())).collect();
-                let got: Vec<(u32, u64)> = t.iter_filled().map(|(k, w)| (k, w.to_bits())).collect();
-                prop_assert_eq!(got, want, "iter_filled yields claim order");
-                prop_assert_eq!(t.len(), map.len());
+                for storage in [&mut probe, &mut indexed] {
+                    let t = storage.table(size, TableSpace::Shared);
+                    let got: Vec<(u32, u64)> =
+                        t.iter_filled().map(|(k, w)| (k, w.to_bits())).collect();
+                    prop_assert_eq!(&got, &want, "iter_filled yields claim order");
+                    prop_assert_eq!(t.len(), map.len());
+                }
             }
         }
+    }
+
+    #[test]
+    fn key_index_covers_the_largest_valid_key() {
+        const N: usize = 1000;
+        let last = N as u32 - 1;
+        // Beyond any index's domain: accumulates through the scan.
+        let far = EMPTY - 1;
+        let mut storage = TableStorage::new::<Parallel>(7, N);
+        let mut counters = BlockCounters::default();
+        let mut ctx = GroupCtx::<Parallel>::typed(0, 32, &mut counters);
+        {
+            let mut t = storage.table(7, TableSpace::Global);
+            t.reset(&mut ctx);
+            assert_eq!(t.insert_add(&mut ctx, last, 1.5), 1.5);
+            assert_eq!(t.insert_add(&mut ctx, far, 2.0), 2.0);
+            assert_eq!(t.insert_add(&mut ctx, last, 0.25), 1.75);
+            assert_eq!((t.get(&mut ctx, last), t.get(&mut ctx, far)), (1.75, 2.0));
+            assert_eq!(t.iter_filled().collect::<Vec<_>>(), vec![(last, 1.75), (far, 2.0)]);
+        }
+        assert!(storage.index.len() >= N);
+        assert_eq!(storage.index[last as usize], 0, "key n - 1 holds its slot");
+        storage.table(7, TableSpace::Global).reset(&mut ctx);
+        assert_clean(&storage);
+    }
+
+    #[test]
+    fn a_launch_after_one_that_left_keys_claimed_starts_clean() {
+        // Every task of the first launch leaves its keys claimed (no reset
+        // after the inserts), so each worker's last task hands a dirty
+        // storage back. Every storage of the second launch, on whichever
+        // worker and with whichever pooled index, must start clean.
+        const N: usize = 500;
+        const SLOTS: usize = 31;
+        let dev = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Parallel));
+        let keys = |task: usize| (0..8).map(move |j| ((task * 37 + j * 61) % N) as u32);
+        let launch = |check: bool| {
+            dev.exec::<Parallel>().launch_tasks(
+                "leave_claimed",
+                64,
+                32,
+                0,
+                || TableStorage::new::<Parallel>(SLOTS, N),
+                |ctx, storage, task| {
+                    if check {
+                        assert!(storage.index.len() >= N);
+                        assert_clean(storage);
+                    }
+                    let mut t = storage.table(SLOTS, TableSpace::Shared);
+                    t.reset(ctx);
+                    for k in keys(task) {
+                        t.insert_add(ctx, k, 1.0);
+                    }
+                    if check {
+                        let want: Vec<(u32, f64)> = keys(task).map(|k| (k, 1.0)).collect();
+                        assert_eq!(t.iter_filled().collect::<Vec<_>>(), want);
+                        t.reset(ctx);
+                    }
+                },
+            )
+        };
+        launch(false);
+        launch(true);
     }
 
     #[test]

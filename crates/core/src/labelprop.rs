@@ -179,7 +179,7 @@ fn vote_attempt<P: ExecutionProfile>(
         // pulls the vertex anywhere and only adds inertia, which is the
         // sensible reading of "neighboring label" for j == i.
         let lj = if j == i { li } else { state.labels.load(j) };
-        let (_slot, running) = table.try_insert_add(ctx, lj, w)?;
+        let running = table.try_insert_add(ctx, lj, w)?;
         let lb = &mut lane_best[lane];
         if running > lb.0 || (running == lb.0 && lj < lb.1) {
             *lb = (running, lj);
@@ -278,7 +278,7 @@ fn sweep<P: ExecutionProfile>(
     let n = g.num_vertices();
     state.counters.fill(0);
     for (range, chunk_bins) in chunks.iter().zip(bins) {
-        chunk_bins.launch(dev, cfg, &LPA_VOTE_KERNELS, |ctx, table, lane_best, i| {
+        chunk_bins.launch(dev, cfg, &LPA_VOTE_KERNELS, n, |ctx, table, lane_best, i| {
             vote_attempt::<P>(ctx, g, state, table, lane_best, i)
         })?;
         match mode {

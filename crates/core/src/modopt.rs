@@ -592,14 +592,14 @@ fn modularity_optimization_typed<P: ExecutionProfile>(
                         } else {
                             (&bins.b7_sorted, &bins.b7_slots)
                         };
-                        launch_open_ended(dev, cfg, kernel, b7_ids, b7_slots, attempt)?;
+                        launch_open_ended(dev, cfg, kernel, n, b7_ids, b7_slots, attempt)?;
                     } else {
                         let ids = &bins.ids[bucket_idx];
                         let task_id = |ctx: &mut GroupCtx<P>, task: usize| {
                             ctx.global_read_coalesced(1);
                             ids.load(task) as usize
                         };
-                        launch_bounded(dev, cfg, kernel, count, spec, task_id, attempt)?;
+                        launch_bounded(dev, cfg, kernel, n, count, spec, task_id, attempt)?;
                     }
                     if cfg.update_strategy == UpdateStrategy::PerBucket {
                         iter_moves += commit::<P>(
@@ -762,7 +762,7 @@ fn compute_move_attempt<P: ExecutionProfile>(
         }
         let w = ws[idx];
         let cj = state.comm.load(j);
-        let (_slot, running) = table.try_insert_add(ctx, cj, w)?;
+        let running = table.try_insert_add(ctx, cj, w)?;
         if cj == ci {
             continue; // home community: the stay option, evaluated below
         }
@@ -827,7 +827,7 @@ fn compute_move_node_centric<P: ExecutionProfile>(
         .try_launch_blocks(
             "compute_move_node_centric",
             n_blocks,
-            |_| Scratch::new(scratch_slots),
+            |_| Scratch::new::<P>(scratch_slots, n),
             |ctx, scratch| {
                 let lo = ctx.block_id * block_threads;
                 let hi = (lo + block_threads).min(n);
@@ -914,7 +914,7 @@ fn node_centric_attempt<P: ExecutionProfile>(
             continue;
         }
         let cj = state.comm.load(j);
-        let (_slot, running) = table.try_insert_add(ctx, cj, ws[idx])?;
+        let running = table.try_insert_add(ctx, cj, ws[idx])?;
         if cj == ci || (i_singleton && cj >= ci && state.comm_size.load(cj as usize) == 1) {
             continue;
         }

@@ -1,5 +1,6 @@
 //! Persistent work-claiming block scheduler: every launch, under every
-//! execution profile, hands its blocks to this module. The design mirrors
+//! execution profile, hands its blocks to this module, and every
+//! [`crate::thrust`] collective its chunks. The design mirrors
 //! the vendored-rayon persistent pool (spawn once, park between launches,
 //! propagate panics) but differs where the simulator needs it to:
 //!

@@ -2,9 +2,12 @@
 //! Thrust routines the paper calls (`partition`, prefix sums, sort,
 //! reductions).
 //!
-//! All primitives are deterministic: parallel reductions use fixed chunk
-//! boundaries so floating-point results do not depend on scheduling. Each
-//! call is recorded in the device metrics as a kernel launch named
+//! All primitives are deterministic: they work in fixed chunks of `CHUNK`
+//! elements, so floating-point results do not depend on scheduling. The
+//! per-chunk partials run on the device's block scheduler
+//! ([`crate::schedule::run_blocks`]) at the device's thread count — inline
+//! on the calling thread at one thread — and are combined in chunk order.
+//! Each call is recorded in the device metrics as a kernel launch named
 //! `thrust::<op>` — unless the device runs the uninstrumented
 //! [`crate::Profile::Parallel`] profile, in which case recording is skipped
 //! (one branch per *call*, never per element; the collective computations
@@ -13,7 +16,8 @@
 use crate::launch::Device;
 use crate::memory::GlobalF64;
 use crate::metrics::BlockCounters;
-use rayon::prelude::*;
+use crate::schedule::run_blocks;
+use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Chunk size for blocked scans/reductions. Fixed so results are
@@ -43,11 +47,28 @@ fn record_elems(dev: &Device, name: &str, elems: usize, start: Option<Instant>) 
 }
 
 impl Device {
+    /// Runs `f` on every part (one block per part) on the block scheduler at
+    /// the device's thread count and returns the results in part order.
+    fn map_parts<C: Send, R: Send>(
+        &self,
+        parts: impl Iterator<Item = C>,
+        f: impl Fn(C) -> R + Sync,
+    ) -> Vec<R> {
+        let slots: Vec<Mutex<(Option<C>, Option<R>)>> =
+            parts.map(|part| Mutex::new((Some(part), None))).collect();
+        run_blocks(self.config().effective_threads(), slots.len(), |i| {
+            let mut slot = slots[i].lock();
+            let part = slot.0.take().expect("each part runs once");
+            slot.1 = Some(f(part));
+        });
+        slots.into_iter().map(|slot| slot.into_inner().1.expect("every part ran")).collect()
+    }
+
     /// Exclusive prefix sum in place; returns the grand total.
     /// (`thrust::exclusive_scan`.)
     pub fn exclusive_scan_usize(&self, data: &mut [usize]) -> usize {
         let start = maybe_start(self);
-        let total = blocked_scan(data, false);
+        let total = self.blocked_scan(data, false);
         record_elems(self, "thrust::exclusive_scan", data.len(), start);
         total
     }
@@ -56,7 +77,7 @@ impl Device {
     /// (`thrust::inclusive_scan`.)
     pub fn inclusive_scan_usize(&self, data: &mut [usize]) -> usize {
         let start = maybe_start(self);
-        let total = blocked_scan(data, true);
+        let total = self.blocked_scan(data, true);
         record_elems(self, "thrust::inclusive_scan", data.len(), start);
         total
     }
@@ -74,21 +95,18 @@ impl Device {
         // Chunk-wise split, then selected chunks concatenated before
         // rejected ones: stable, and chunked over sub-slices so no
         // per-element intermediate is materialized.
-        let parts: Vec<(Vec<T>, Vec<T>)> = items
-            .par_chunks(CHUNK)
-            .map(|c| {
-                let mut sel = Vec::new();
-                let mut rej = Vec::new();
-                for &x in c {
-                    if pred(&x) {
-                        sel.push(x);
-                    } else {
-                        rej.push(x);
-                    }
+        let parts: Vec<(Vec<T>, Vec<T>)> = self.map_parts(items.chunks(CHUNK), |c| {
+            let mut sel = Vec::new();
+            let mut rej = Vec::new();
+            for &x in c {
+                if pred(&x) {
+                    sel.push(x);
+                } else {
+                    rej.push(x);
                 }
-                (sel, rej)
-            })
-            .collect();
+            }
+            (sel, rej)
+        });
         let count = parts.iter().map(|(s, _)| s.len()).sum();
         let mut out = Vec::with_capacity(items.len());
         for (sel, _) in &parts {
@@ -109,10 +127,8 @@ impl Device {
         F: Fn(&T) -> bool + Sync,
     {
         let start = maybe_start(self);
-        let parts: Vec<Vec<T>> = items
-            .par_chunks(CHUNK)
-            .map(|c| c.iter().copied().filter(|x| pred(x)).collect())
-            .collect();
+        let parts: Vec<Vec<T>> = self
+            .map_parts(items.chunks(CHUNK), |c| c.iter().copied().filter(|x| pred(x)).collect());
         let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
         for part in &parts {
             out.extend_from_slice(part);
@@ -124,12 +140,11 @@ impl Device {
     /// Stable sort by key (`thrust::stable_sort_by_key`).
     pub fn sort_by_key<T, K, F>(&self, items: &mut [T], key: F)
     where
-        T: Send,
-        K: Ord + Send,
-        F: Fn(&T) -> K + Sync,
+        K: Ord,
+        F: Fn(&T) -> K,
     {
         let start = maybe_start(self);
-        items.par_sort_by_key(key);
+        items.sort_by_key(key);
         record_elems(self, "thrust::sort_by_key", items.len(), start);
     }
 
@@ -137,7 +152,7 @@ impl Device {
     /// boundaries make the result independent of thread count.
     pub fn reduce_sum_f64(&self, data: &[f64]) -> f64 {
         let start = maybe_start(self);
-        let partials: Vec<f64> = data.par_chunks(CHUNK).map(|c| c.iter().sum::<f64>()).collect();
+        let partials = self.map_parts(data.chunks(CHUNK), |c| c.iter().sum::<f64>());
         let total = partials.iter().sum();
         record_elems(self, "thrust::reduce", data.len(), start);
         total
@@ -165,15 +180,9 @@ impl Device {
     {
         let start = maybe_start(self);
         let n = data.len();
-        let n_chunks = n.div_ceil(CHUNK);
-        let partials: Vec<f64> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * CHUNK;
-                let hi = (lo + CHUNK).min(n);
-                (lo..hi).map(|i| f(data.load(i))).sum::<f64>()
-            })
-            .collect();
+        let partials = self.map_parts((0..n).step_by(CHUNK), |lo| {
+            (lo..(lo + CHUNK).min(n)).map(|i| f(data.load(i))).sum::<f64>()
+        });
         let total = partials.iter().sum();
         record_elems(self, name, n, start);
         total
@@ -182,12 +191,7 @@ impl Device {
     /// Sum reduction over usize.
     pub fn reduce_sum_usize(&self, data: &[usize]) -> usize {
         let start = maybe_start(self);
-        let total = data
-            .par_chunks(CHUNK)
-            .map(|c| c.iter().sum::<usize>())
-            .collect::<Vec<_>>()
-            .iter()
-            .sum();
+        let total = self.map_parts(data.chunks(CHUNK), |c| c.iter().sum::<usize>()).iter().sum();
         record_elems(self, "thrust::reduce", data.len(), start);
         total
     }
@@ -195,10 +199,8 @@ impl Device {
     /// Maximum element, or `None` when empty (`thrust::max_element`).
     pub fn max_usize(&self, data: &[usize]) -> Option<usize> {
         let start = maybe_start(self);
-        let m = data
-            .par_chunks(CHUNK)
-            .map(|c| c.iter().copied().max())
-            .collect::<Vec<_>>()
+        let m = self
+            .map_parts(data.chunks(CHUNK), |c| c.iter().copied().max())
             .into_iter()
             .flatten()
             .max();
@@ -213,44 +215,40 @@ impl Device {
         F: Fn(&T) -> bool + Sync,
     {
         let start = maybe_start(self);
-        let c = data
-            .par_chunks(CHUNK)
-            .map(|c| c.iter().filter(|x| pred(x)).count())
-            .collect::<Vec<_>>()
+        let c = self
+            .map_parts(data.chunks(CHUNK), |c| c.iter().filter(|x| pred(x)).count())
             .iter()
             .sum();
         record_elems(self, "thrust::count_if", data.len(), start);
         c
     }
-}
 
-/// Blocked parallel scan: per-chunk sums, sequential scan over chunk sums,
-/// then a parallel rewrite pass. Deterministic for integer element types.
-fn blocked_scan(data: &mut [usize], inclusive: bool) -> usize {
-    if data.is_empty() {
-        return 0;
-    }
-    let mut chunk_sums: Vec<usize> = data.par_chunks(CHUNK).map(|c| c.iter().sum()).collect();
-    let mut acc = 0usize;
-    for s in chunk_sums.iter_mut() {
-        let cur = *s;
-        *s = acc;
-        acc += cur;
-    }
-    data.par_chunks_mut(CHUNK).zip(chunk_sums.par_iter()).for_each(|(chunk, &base)| {
-        let mut run = base;
-        for v in chunk.iter_mut() {
-            let cur = *v;
-            if inclusive {
-                run += cur;
-                *v = run;
-            } else {
-                *v = run;
-                run += cur;
-            }
+    /// Blocked scan: per-chunk sums, a sequential scan over the chunk sums,
+    /// then a per-chunk rewrite pass. Deterministic for integer element
+    /// types.
+    fn blocked_scan(&self, data: &mut [usize], inclusive: bool) -> usize {
+        let mut bases = self.map_parts(data.chunks(CHUNK), |c| c.iter().sum::<usize>());
+        let mut acc = 0usize;
+        for s in bases.iter_mut() {
+            let cur = *s;
+            *s = acc;
+            acc += cur;
         }
-    });
-    acc
+        self.map_parts(data.chunks_mut(CHUNK).zip(bases), |(chunk, base)| {
+            let mut run = base;
+            for v in chunk.iter_mut() {
+                let cur = *v;
+                if inclusive {
+                    run += cur;
+                    *v = run;
+                } else {
+                    *v = run;
+                    run += cur;
+                }
+            }
+        });
+        acc
+    }
 }
 
 #[cfg(test)]

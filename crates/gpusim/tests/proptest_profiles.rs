@@ -8,6 +8,9 @@
 use cd_gpusim::{Device, DeviceConfig, GlobalF64, Profile};
 use proptest::prelude::*;
 
+/// The collectives' fixed chunk length (`thrust::CHUNK`).
+const CHUNK: usize = 4096;
+
 fn triple() -> (Device, Device, Device) {
     (
         Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Instrumented)),
@@ -124,5 +127,87 @@ proptest! {
         // The racecheck device saw every one of these collectives and none of
         // them shares a cell between unordered actors.
         prop_assert!(rc.race_reports().is_empty());
+    }
+}
+
+/// `Instrumented`, `Racecheck`, `Parallel` at one thread and `Parallel` at
+/// eight (oversubscribed on purpose, so chunks finish out of order).
+fn quad() -> [Device; 4] {
+    let at = |p: Profile, t: usize| {
+        Device::new(DeviceConfig::tesla_k40m().with_profile(p).with_threads(t))
+    };
+    [
+        at(Profile::Instrumented, 1),
+        at(Profile::Racecheck, 1),
+        at(Profile::Parallel, 1),
+        at(Profile::Parallel, 8),
+    ]
+}
+
+/// `len` pseudo-random values from `seed` (xorshift), spanning signs and
+/// magnitudes so f64 sums round differently in different orders.
+fn values(len: usize, seed: u64) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 10f64.powi((x % 24) as i32 - 12)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Vectors spanning several chunks, with ragged last chunks: every
+    /// collective is bit-identical across profiles and thread counts.
+    #[test]
+    fn collectives_across_chunks_identical_across_profiles_and_threads(
+        chunks in 1usize..6,
+        extra in 0usize..CHUNK,
+        seed in 0u64..1_000_000,
+    ) {
+        let len = chunks * CHUNK + extra;
+        let vals = values(len, seed);
+        let lens: Vec<usize> = vals.iter().map(|v| (v.to_bits() % 97) as usize).collect();
+        let buf = GlobalF64::zeroed(len);
+        buf.copy_from_slice(&vals);
+        let observe = |dev: &Device| {
+            let mut ex = lens.clone();
+            let mut inc = lens.clone();
+            (
+                dev.reduce_sum_f64(&vals).to_bits(),
+                dev.reduce_sum_f64_global(&buf).to_bits(),
+                dev.transform_reduce_f64_global(&buf, |x| x * x - 0.5 * x).to_bits(),
+                (dev.exclusive_scan_usize(&mut ex), ex),
+                (dev.inclusive_scan_usize(&mut inc), inc),
+                dev.copy_if(&lens, |&x| x % 5 == 0),
+                dev.partition(&lens, |&x| x % 3 == 0),
+                (dev.reduce_sum_usize(&lens), dev.max_usize(&lens), dev.count_if(&lens, |&x| x > 50)),
+            )
+        };
+        let [reference, rest @ ..] = quad();
+        let want = observe(&reference);
+        for dev in &rest {
+            prop_assert_eq!(&observe(dev), &want, "{:?} at {} threads", dev.profile(), dev.config().threads);
+        }
+    }
+}
+
+#[test]
+fn collectives_at_one_thread_run_on_the_calling_thread() {
+    let me = std::thread::current().id();
+    let data: Vec<usize> = (0..3 * CHUNK + 17).collect();
+    for profile in [Profile::Instrumented, Profile::Parallel] {
+        let dev = Device::new(DeviceConfig::tesla_k40m().with_profile(profile).with_threads(1));
+        let here = |_: &usize| {
+            assert_eq!(std::thread::current().id(), me, "{profile:?}: chunk ran off-thread");
+            true
+        };
+        assert_eq!(dev.count_if(&data, here), data.len());
+        assert_eq!(dev.copy_if(&data, here).len(), data.len());
+        assert_eq!(dev.partition(&data, here).1, data.len());
     }
 }
