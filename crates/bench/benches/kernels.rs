@@ -18,10 +18,11 @@ fn bench_hash_insert(c: &mut Criterion) {
         // half-converged neighborhood.
         let keys: Vec<u32> =
             (0..deg as u32).map(|i| (i * 2654435761) % (deg as u32 / 2 + 1)).collect();
+        let domain = deg / 2 + 1;
         for space in [TableSpace::Shared, TableSpace::Global] {
             let label = format!("{space:?}/deg{deg}");
             group.bench_function(BenchmarkId::from_parameter(label), |b| {
-                let mut storage = TableStorage::with_capacity(slots);
+                let mut storage = TableStorage::new::<Instrumented>(slots, domain);
                 let mut counters = BlockCounters::default();
                 b.iter(|| {
                     let mut ctx = GroupCtx::new(0, 32, &mut counters);
@@ -63,8 +64,9 @@ fn bench_thrust(c: &mut Criterion) {
 /// Lockstep emulation vs the native direct path on the two loops the
 /// parallel backend retargets: the hash-table probe loop (the inner loop of
 /// `computeMove`) and frontier compaction (`copy_if` over the vertex set).
-/// The lockstep legs carry per-lane `step()` bookkeeping; the direct legs
-/// are what `Profile::Parallel` executes per block.
+/// The lockstep legs carry per-lane `step()` bookkeeping and the probe
+/// walk; the direct legs are what `Profile::Parallel` executes per block,
+/// the key-index insert included.
 fn bench_backend_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_paths");
 
@@ -74,7 +76,7 @@ fn bench_backend_paths(c: &mut Criterion) {
     macro_rules! probe_loop {
         ($name:literal, $profile:ty) => {
             group.bench_function(concat!("hash_probe/", $name), |b| {
-                let mut storage = TableStorage::with_capacity(slots);
+                let mut storage = TableStorage::new::<$profile>(slots, deg / 2 + 1);
                 let mut counters = BlockCounters::default();
                 b.iter(|| {
                     let mut ctx = GroupCtx::<$profile>::typed(0, 32, &mut counters);

@@ -29,15 +29,15 @@
 //! arrays of CPU Louvain codes. Claim order, `len`, every running weight
 //! (`0.0 + w₁ + w₂ + …` in insert order) and every overflow are the same
 //! as the probe walk's, so results are bit-identical across profiles.
-//! Key indexes are pooled process-wide: a storage takes a spare when it is
-//! built and returns it clean when dropped, so a launch allocates no index
-//! once the process has seen its largest key domain.
+//! Each thread keeps one spare key index: a storage takes it when built
+//! and hands it back clean when dropped, so a launch allocates no index
+//! once its threads have seen the largest key domain, no lock is taken,
+//! and the memory kept is one index per thread that built a table.
 
 use cd_gpusim::racecheck::{self, AccessKind};
 use cd_gpusim::{ExecutionProfile, GroupCtx};
+use std::cell::Cell;
 use std::panic::Location;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Sentinel for an unclaimed slot (the paper's `null`; community ids are
 /// 32-bit, so `u32::MAX` is never a valid id).
@@ -285,6 +285,7 @@ impl HashTable<'_> {
                 if slot == self.size {
                     return Err(TableOverflow { size: self.size });
                 }
+                debug_assert_eq!(self.keys[slot], EMPTY, "a storage serves one profile");
                 self.keys[slot] = key;
                 self.claimed.push(slot as u32);
                 if let Some(entry) = self.index.get_mut(key as usize) {
@@ -443,40 +444,47 @@ fn unclaim(claimed: &mut Vec<u32>, keys: &mut [u32], weights: &mut [f64], index:
     }
 }
 
-/// Key indexes returned by dropped storages, every entry `EMPTY`. Each
-/// update is one push or removal of a whole clean index, so the pool is
-/// valid even after a panic poisoned the lock, and users recover it.
-static SPARE_INDEXES: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
-
-/// Bytes of key-index capacity allocated in this process so far.
-static INDEX_BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Bytes of key-index capacity this process has allocated. A process
-/// allocates index bytes only when a storage needs a larger key domain
-/// than every spare index holds, so repeating a launch adds nothing.
-pub fn key_index_bytes_allocated() -> u64 {
-    INDEX_BYTES_ALLOCATED.load(Ordering::Relaxed)
+thread_local! {
+    /// This thread's spare key index, every entry `EMPTY`.
+    static SPARE_INDEX: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Takes the largest spare key index and grows it to cover `domain` keys.
-fn acquire_index(domain: usize) -> Vec<u32> {
-    let mut index = {
-        let mut spares = SPARE_INDEXES.lock().unwrap_or_else(PoisonError::into_inner);
-        let largest = (0..spares.len()).max_by_key(|&i| spares[i].len());
-        largest.map(|i| spares.swap_remove(i)).unwrap_or_default()
-    };
+#[cfg(test)]
+thread_local! {
+    /// Bytes of key index this thread has allocated.
+    static INDEX_BYTES_ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Takes this thread's spare key index, grown to cover `domain` keys. A
+/// storage built while another built on this thread is still alive finds
+/// none and allocates its own.
+fn take_index(domain: usize) -> Vec<u32> {
+    let mut index = SPARE_INDEX.take();
     if index.len() < domain {
+        #[cfg(test)]
         let before = index.capacity();
         index.resize(domain, EMPTY);
-        let grown = (index.capacity() - before) * std::mem::size_of::<u32>();
-        INDEX_BYTES_ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
+        #[cfg(test)]
+        INDEX_BYTES_ALLOCATED.with(|n| n.set(n.get() + (index.capacity() - before) * 4));
     }
     index
+}
+
+/// Returns a clean key index to this thread, which keeps the larger of it
+/// and any spare already returned.
+fn give_back_index(index: Vec<u32>) {
+    // An exiting thread has no slot left; the index is then freed.
+    let _ = SPARE_INDEX.try_with(|spare| {
+        let other = spare.take();
+        spare.set(if other.len() > index.len() { other } else { index });
+    });
 }
 
 /// Reusable backing storage for one block's hash table. Takes a shadow
 /// object id at construction so the race detector can tell arenas apart
 /// (and report the allocation site of the racy one).
+///
+/// A storage serves the profile it was built for.
 ///
 /// Invariant: every slot not listed in `claimed` is `(EMPTY, 0.0)`, and
 /// every key-index entry is `EMPTY` except those of claimed keys, which
@@ -492,17 +500,10 @@ pub struct TableStorage {
     /// Slots claimed since the storage was last clean, in claim order.
     claimed: Vec<u32>,
     /// Key → claimed slot over the key domain (`Parallel` storages only;
-    /// taken from and returned to [`SPARE_INDEXES`]).
+    /// taken from and returned to the thread's spare).
     index: Vec<u32>,
     object: u64,
     origin: &'static Location<'static>,
-}
-
-impl Default for TableStorage {
-    #[track_caller]
-    fn default() -> Self {
-        Self::with_capacity(0)
-    }
 }
 
 impl Drop for TableStorage {
@@ -511,36 +512,23 @@ impl Drop for TableStorage {
             return;
         }
         unclaim(&mut self.claimed, &mut self.keys, &mut self.weights, &mut self.index);
-        let index = std::mem::take(&mut self.index);
-        SPARE_INDEXES.lock().unwrap_or_else(PoisonError::into_inner).push(index);
+        give_back_index(std::mem::take(&mut self.index));
     }
 }
 
 impl TableStorage {
     /// Storage able to hold tables up to `capacity` slots, for kernels of
     /// profile `P` whose keys lie in `0..key_domain`. A `Parallel` storage
-    /// takes a key index covering the domain (a key outside it still works,
-    /// by a scan of the claimed slots); the instrumented profiles walk the
-    /// probe sequence and take none.
+    /// takes its thread's spare key index, grown to cover the domain (a key
+    /// outside it still works, by a scan of the claimed slots); the
+    /// instrumented profiles walk the probe sequence and take none.
     #[track_caller]
     pub fn new<P: ExecutionProfile>(capacity: usize, key_domain: usize) -> Self {
-        let mut storage = Self::with_capacity(capacity);
-        if !P::INSTRUMENTED {
-            storage.index = acquire_index(key_domain);
-        }
-        storage
-    }
-
-    /// Storage able to hold tables up to `capacity` slots, without a key
-    /// index: every profile, `Parallel` included, gets the same results
-    /// from it, but only the instrumented profiles at full speed.
-    #[track_caller]
-    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             keys: vec![EMPTY; capacity],
             weights: vec![0.0; capacity],
             claimed: Vec::with_capacity(capacity),
-            index: Vec::new(),
+            index: if P::INSTRUMENTED { Vec::new() } else { take_index(key_domain) },
             object: racecheck::next_object_id(),
             origin: Location::caller(),
         }
@@ -606,7 +594,7 @@ mod tests {
 
     #[test]
     fn insert_and_accumulate() {
-        let mut storage = TableStorage::with_capacity(64);
+        let mut storage = TableStorage::new::<Instrumented>(64, 0);
         let ((), counters) = with_ctx(|ctx| {
             let mut t = storage.table(table_size_for(10).unwrap(), TableSpace::Shared);
             t.reset(ctx);
@@ -625,7 +613,7 @@ mod tests {
 
     #[test]
     fn global_space_charges_atomics() {
-        let mut storage = TableStorage::with_capacity(64);
+        let mut storage = TableStorage::new::<Instrumented>(64, 0);
         let ((), counters) = with_ctx(|ctx| {
             let mut t = storage.table(table_size_for(10).unwrap(), TableSpace::Global);
             t.reset(ctx);
@@ -642,7 +630,7 @@ mod tests {
         // Fill a small prime table completely; every key must remain
         // retrievable.
         let size = table_size_for(4).unwrap(); // 7
-        let mut storage = TableStorage::with_capacity(size);
+        let mut storage = TableStorage::new::<Instrumented>(size, 0);
         with_ctx(|ctx| {
             let mut t = storage.table(size, TableSpace::Shared);
             t.reset(ctx);
@@ -660,7 +648,7 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let size = table_size_for(2).unwrap(); // 5
-        let mut storage = TableStorage::with_capacity(size);
+        let mut storage = TableStorage::new::<Instrumented>(size, 0);
         with_ctx(|ctx| {
             let mut t = storage.table(size, TableSpace::Shared);
             t.reset(ctx);
@@ -678,7 +666,7 @@ mod tests {
         // fallbacks counted.
         let keys: Vec<u32> = (0..12u32).map(|k| k * 7919).collect();
         let run = |slots: usize, space: TableSpace| {
-            let mut storage = TableStorage::with_capacity(4);
+            let mut storage = TableStorage::new::<Instrumented>(4, 0);
             let mut sizes = Vec::new();
             let mut entries = Vec::new();
             let ((), counters) = with_ctx(|ctx| {
@@ -715,7 +703,7 @@ mod tests {
 
     #[test]
     fn iter_filled_sees_all_entries() {
-        let mut storage = TableStorage::with_capacity(32);
+        let mut storage = TableStorage::new::<Instrumented>(32, 0);
         with_ctx(|ctx| {
             let mut t = storage.table(table_size_for(8).unwrap(), TableSpace::Shared);
             t.reset(ctx);
@@ -730,7 +718,7 @@ mod tests {
 
     #[test]
     fn storage_reuse_and_growth() {
-        let mut storage = TableStorage::with_capacity(4);
+        let mut storage = TableStorage::new::<Instrumented>(4, 0);
         with_ctx(|ctx| {
             {
                 let mut t = storage.table(5, TableSpace::Shared);
@@ -756,11 +744,20 @@ mod tests {
         }
     }
 
+    /// This thread's spare key index: its length, and whether every entry
+    /// is `EMPTY`.
+    fn spare_index() -> (usize, bool) {
+        let spare = SPARE_INDEX.take();
+        let seen = (spare.len(), spare.iter().all(|&e| e == EMPTY));
+        SPARE_INDEX.set(spare);
+        seen
+    }
+
     #[test]
     fn overflowed_attempt_leaves_no_stale_slot() {
         let small = table_size_for(2).unwrap(); // 5 — too small for 12 keys
         let keys: Vec<u32> = (0..12u32).map(|k| k * 7919).collect();
-        let mut storage = TableStorage::with_capacity(small);
+        let mut storage = TableStorage::new::<Instrumented>(small, 0);
         let mut sizes = Vec::new();
         let space = TableSpace::Shared;
         with_ctx(|ctx| {
@@ -917,14 +914,16 @@ mod tests {
     #[test]
     fn a_launch_after_one_that_left_keys_claimed_starts_clean() {
         // Every task of the first launch leaves its keys claimed (no reset
-        // after the inserts), so each worker's last task hands a dirty
-        // storage back. Every storage of the second launch, on whichever
-        // worker and with whichever pooled index, must start clean.
+        // after the inserts), so each participant drops a dirty storage.
+        // Every storage of the second launch, on whichever worker and with
+        // whichever thread's index, must start clean, at 1 and 4 threads.
         const N: usize = 500;
         const SLOTS: usize = 31;
-        let dev = Device::new(DeviceConfig::test_tiny().with_profile(Profile::Parallel));
         let keys = |task: usize| (0..8).map(move |j| ((task * 37 + j * 61) % N) as u32);
-        let launch = |check: bool| {
+        let launch = |threads: usize, check: bool| {
+            let dev = Device::new(
+                DeviceConfig::test_tiny().with_profile(Profile::Parallel).with_threads(threads),
+            );
             dev.exec::<Parallel>().launch_tasks(
                 "leave_claimed",
                 64,
@@ -949,14 +948,68 @@ mod tests {
                 },
             )
         };
-        launch(false);
-        launch(true);
+        for threads in [1, 4] {
+            launch(threads, false);
+            launch(threads, true);
+        }
+        assert!(spare_index().1, "the thread's spare index is clean");
+    }
+
+    #[test]
+    fn storages_return_their_index_to_the_thread() {
+        const N: usize = 300;
+        let mut counters = BlockCounters::default();
+        let mut ctx = GroupCtx::<Parallel>::typed(0, 32, &mut counters);
+        {
+            // Two storages alive at once on one thread: the second finds
+            // no spare and allocates its own.
+            let mut a = TableStorage::new::<Parallel>(13, N);
+            let mut b = TableStorage::new::<Parallel>(13, 2 * N);
+            for (storage, w) in [(&mut a, 1.0), (&mut b, 2.0)] {
+                let mut t = storage.table(13, TableSpace::Shared);
+                t.reset(&mut ctx);
+                t.insert_add(&mut ctx, 7, w);
+                t.insert_add(&mut ctx, N as u32 - 1, w);
+            }
+            assert_eq!(spare_index().0, 0, "both indexes are in use");
+        }
+        // Dropped with keys claimed: the thread keeps the larger index,
+        // clean, and a later storage takes it without allocating.
+        assert_eq!(spare_index(), (2 * N, true));
+        let before = INDEX_BYTES_ALLOCATED.get();
+        let c = TableStorage::new::<Parallel>(13, N);
+        assert_eq!((c.index.len(), INDEX_BYTES_ALLOCATED.get()), (2 * N, before));
+    }
+
+    #[test]
+    fn repeated_parallel_solves_allocate_no_key_index() {
+        // At one thread every launch runs on this thread, so this
+        // thread's allocation count covers the whole solve.
+        let dev =
+            Device::new(DeviceConfig::tesla_k40m().with_profile(Profile::Parallel).with_threads(1));
+        let g = cd_graph::gen::planted_partition(8, 60, 0.3, 0.01, 5).graph;
+        let cfg = crate::GpuLouvainConfig::paper_default();
+        let solve = |algorithm| {
+            let r = crate::detect_communities(&dev, &g, &cfg, algorithm).unwrap();
+            (r.modularity.to_bits(), r.partition.num_communities())
+        };
+        let algorithms = [crate::Algorithm::Louvain, crate::Algorithm::LpaSync];
+        let first: Vec<_> = algorithms.iter().map(|&a| solve(a)).collect();
+        let warm = INDEX_BYTES_ALLOCATED.get();
+        let n = g.num_vertices();
+        assert!(warm >= 4 * n, "a {n}-vertex solve indexes {n} keys, allocated {warm} B");
+        for _ in 0..3 {
+            let again: Vec<_> = algorithms.iter().map(|&a| solve(a)).collect();
+            assert_eq!(again, first);
+        }
+        assert_eq!(INDEX_BYTES_ALLOCATED.get(), warm, "a repeated solve allocated key-index bytes");
+        assert_eq!(spare_index(), (n, true));
     }
 
     #[test]
     fn probe_sequence_covers_table() {
         let size = 13;
-        let mut storage = TableStorage::with_capacity(size);
+        let mut storage = TableStorage::new::<Instrumented>(size, 0);
         let t = storage.table(size, TableSpace::Shared);
         for key in [0u32, 1, 12, 911, u32::MAX - 1] {
             let mut seen = std::collections::HashSet::new();

@@ -28,7 +28,7 @@ fn table_fixture(fixed: bool) -> Device {
         2,
         128,
         SLOTS * 16,
-        || TableStorage::with_capacity(SLOTS),
+        || TableStorage::new::<Racecheck>(SLOTS, 0),
         |ctx, storage, task| {
             let mut t = storage.table(SLOTS, TableSpace::Shared);
             t.reset(ctx);
@@ -59,7 +59,7 @@ fn racy_table_fixture_is_flagged_with_actionable_report() {
         assert_eq!(r.kernel, "table-fixture-racy");
         assert!(
             r.origin.file().ends_with("race_detection.rs"),
-            "arena origin should point at the test's TableStorage::with_capacity call, got {}",
+            "arena origin should point at the test's TableStorage::new call, got {}",
             r.origin
         );
     }

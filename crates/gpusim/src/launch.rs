@@ -43,7 +43,7 @@ use crate::racecheck::{BlockGuard, LaunchShadow};
 use crate::schedule::run_blocks;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -513,22 +513,23 @@ impl<'d, P: ExecutionProfile> Exec<'d, P> {
             // Parallel builds the per-block scratch once per *participant*
             // and reuses it across every block it claims — kernels reset
             // their scratch per task, so a launch allocates at most
-            // `threads` states instead of `n_blocks`.
+            // `threads` states instead of `n_blocks`. Each participant
+            // claims blocks until none remain and drops its state on its
+            // own thread, so what a state borrowed from its thread (the
+            // hash tables' key index) goes back to that thread.
             let threads = dev.cfg.effective_threads();
-            let mut counters = BlockCounters::default();
-            if threads <= 1 || n_blocks == 1 {
-                let mut state = block_state();
-                for block in 0..n_blocks {
-                    run_tasks(&mut state, block, &mut counters);
+            let next = AtomicUsize::new(0);
+            run_blocks(threads, threads.min(n_blocks), |_| {
+                let mut state = None;
+                loop {
+                    let block = next.fetch_add(1, Ordering::Relaxed);
+                    if block >= n_blocks {
+                        return;
+                    }
+                    let state = state.get_or_insert_with(&block_state);
+                    run_tasks(state, block, &mut BlockCounters::default());
                 }
-            } else {
-                let states: Mutex<Vec<S>> = Mutex::new(Vec::new());
-                run_blocks(threads, n_blocks, |block| {
-                    let mut state = states.lock().pop().unwrap_or_else(&block_state);
-                    run_tasks(&mut state, block, &mut BlockCounters::default());
-                    states.lock().push(state);
-                });
-            }
+            });
             return Ok(());
         }
         self.run(name, n_blocks, shared_per_block, |block, counters| {
@@ -866,6 +867,37 @@ mod tests {
         assert_eq!(count_states(1), 1);
         let c = count_states(4);
         assert!((1..=4).contains(&c), "expected <= 4 states, got {c}");
+    }
+
+    #[test]
+    fn parallel_task_scratch_is_dropped_on_the_thread_that_built_it() {
+        use crate::profile::Parallel;
+        use std::thread::{self, ThreadId};
+        struct State<'a> {
+            built_on: ThreadId,
+            strays: &'a GlobalU32,
+        }
+        impl Drop for State<'_> {
+            fn drop(&mut self) {
+                if thread::current().id() != self.built_on {
+                    self.strays.atomic_add(0, 1);
+                }
+            }
+        }
+        let dev =
+            Device::new(DeviceConfig::test_tiny().with_profile(Profile::Parallel).with_threads(4));
+        let strays = GlobalU32::zeroed(1);
+        for _ in 0..8 {
+            dev.exec::<Parallel>().launch_tasks(
+                "state",
+                256,
+                32,
+                0,
+                || State { built_on: thread::current().id(), strays: &strays },
+                |_, _, _| thread::yield_now(),
+            );
+        }
+        assert_eq!(strays.load(0), 0);
     }
 
     #[test]
