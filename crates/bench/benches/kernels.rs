@@ -1,13 +1,17 @@
 //! Microbenchmarks of the device primitives the paper's kernels are built
 //! from: hash-table accumulation (the inner loop of `computeMove` /
 //! `mergeCommunity`), the Thrust-style collectives, and atomic memory
-//! operations. These isolate the costs behind every table/figure.
+//! operations. These isolate the costs behind every table/figure. The
+//! `content_hash` group times the serving layer's content addressing, which
+//! every `cd-serve` submission pays before its cache lookup.
 
 use cd_core::hashtable::{TableSpace, TableStorage};
 use cd_core::primes::table_size_for;
 use cd_gpusim::{
     BlockCounters, Device, DeviceConfig, GlobalF64, GroupCtx, Instrumented, Parallel, Profile,
 };
+use cd_serve::{structural_hash, Fnv1a};
+use cd_workloads::{by_name, Scale};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_hash_insert(c: &mut Criterion) {
@@ -134,6 +138,24 @@ fn bench_atomics(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_content_hash(c: &mut Criterion) {
+    let mut group = c.benchmark_group("content_hash");
+    let graph = by_name("cnr2000").expect("suite workload").build(Scale::Small).graph;
+    group.bench_function("structural_hash/cnr2000_small", |b| {
+        b.iter(|| black_box(structural_hash(black_box(&graph))));
+    });
+    // The byte image of a 1 MiB cache snapshot: labels are small u32 ids.
+    let snapshot: Vec<u8> = (0..1u32 << 18).flat_map(|i| (i % 5000).to_le_bytes()).collect();
+    group.bench_function("write_bytes/1MiB_snapshot", |b| {
+        b.iter(|| {
+            let mut h = Fnv1a::new();
+            h.write_bytes(black_box(&snapshot));
+            black_box(h.finish())
+        });
+    });
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -144,6 +166,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_hash_insert, bench_thrust, bench_backend_paths, bench_atomics
+    targets = bench_hash_insert, bench_thrust, bench_backend_paths, bench_atomics,
+        bench_content_hash
 }
 criterion_main!(benches);

@@ -69,6 +69,9 @@ pub struct HaloView<'a> {
     pub k: &'a [f64],
     /// Global community id of every local vertex (previous superstep).
     pub labels: &'a [u32],
+    /// Exclusive bound on every global community id: the level graph's
+    /// vertex count.
+    pub label_bound: usize,
     /// Table slot of every local vertex's community, aligned with `labels`.
     pub comm_slot: &'a [u32],
     /// Globally folded community volume `a_c` per table slot.
@@ -132,10 +135,8 @@ fn halo_typed<P: ExecutionProfile>(
     let bins = HostBins::build(dev, 0..n_owned as u32, |pos| {
         view.graph.degree(view.owned[pos as usize] as usize)
     })?;
-    // Keys are global community ids; the largest resident label bounds
-    // them.
-    let key_domain = view.labels.iter().max().map_or(0, |&l| l as usize + 1);
-    bins.launch(dev, cfg, &HALO_MOVE_KERNELS, key_domain, |ctx, table, lane_best, pos| {
+    // Keys are global community ids, all below the level's vertex count.
+    bins.launch(dev, cfg, &HALO_MOVE_KERNELS, view.label_bound, |ctx, table, lane_best, pos| {
         move_attempt::<P>(ctx, view, &proposals, table, lane_best, pos)
     })?;
     Ok(proposals.to_vec())
@@ -329,6 +330,7 @@ mod tests {
             owned,
             k,
             labels,
+            label_bound: dg.num_vertices(),
             comm_slot,
             comm_vol,
             comm_size,

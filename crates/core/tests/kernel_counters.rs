@@ -154,6 +154,7 @@ fn halo_move_counters_are_pinned() {
         owned: &owned,
         k: &k,
         labels: &owned,
+        label_bound: owned.len(),
         comm_slot: &owned,
         comm_vol: &k,
         comm_size: &size,

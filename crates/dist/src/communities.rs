@@ -144,6 +144,7 @@ impl Communities {
             owned,
             k,
             labels: &table.labels,
+            label_bound: self.labels.len(),
             comm_slot: &table.slot,
             comm_vol: &table.vol,
             comm_size: &table.size,

@@ -13,30 +13,85 @@ use cd_core::{Algorithm, HashPlacement, ThreadAssignment, UpdateStrategy};
 use cd_graph::{Csr, DeltaBatch, DeltaOp};
 
 /// 64-bit FNV-1a, the same construction gpusim uses for fault-plan seeding:
-/// tiny, dependency-free, and stable across platforms.
+/// tiny, dependency-free, and stable across platforms. Zero bytes are
+/// absorbed a run at a time (see [`Fnv1a::write_u64`]); every digest equals
+/// the byte-at-a-time definition's.
 #[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
+pub struct Fnv1a {
+    /// The FNV-1a state is `h · P^pending`: the multiplies of the last
+    /// step and of the zero bytes after it are deferred and paid as one
+    /// multiply before the next nonzero byte, or at [`Fnv1a::finish`].
+    h: u64,
+    /// At most 8 between calls.
+    pending: usize,
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME^k` for `k` in `0..=16`. An FNV-1a step on a zero byte is
+/// `(h ^ 0) · P = h · P`, so a run of `k` zero bytes is one multiply by
+/// `P^k`, which also absorbs the multiply of the step before the run.
+const POW: [u64; 17] = {
+    let mut powers = [1u64; 17];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 impl Fnv1a {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
-        Self(FNV_OFFSET)
+        Self { h: FNV_OFFSET, pending: 0 }
     }
 
-    /// Absorbs raw bytes.
+    /// Absorbs raw bytes: whole 8-byte chunks as little-endian words, the
+    /// tail as one shorter word.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
+        let tail = chunks.remainder();
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        self.write_word(u64::from_le_bytes(word), tail.len());
     }
 
-    /// Absorbs a `u64` little-endian.
+    /// Absorbs a `u64` little-endian. Bit-identical to eight byte steps,
+    /// but the zero runs at either end of the word cost no multiply of
+    /// their own (see [`Self::write_word`]).
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        self.write_word(v, 8);
+    }
+
+    /// Absorbs the low `len` bytes of `v`, little-endian; the bytes above
+    /// them must be zero. CSR words are mostly zero bytes (small ids and
+    /// offsets, weights like 1.0 = `0x3FF0_0000_0000_0000`): the zero runs
+    /// at either end of the word fold into the multiplies around them, so
+    /// only the bytes from the first to the last nonzero one cost a step.
+    #[inline(always)]
+    fn write_word(&mut self, v: u64, len: usize) {
+        if v == 0 {
+            self.pending += len;
+        } else {
+            let low = (v.trailing_zeros() / 8) as usize;
+            let end = 8 - (v.leading_zeros() / 8) as usize;
+            let mut rest = v >> (8 * low);
+            self.h = self.h.wrapping_mul(POW[self.pending + low]) ^ (rest & 0xff);
+            for _ in low + 1..end {
+                rest >>= 8;
+                self.h = self.h.wrapping_mul(FNV_PRIME) ^ (rest & 0xff);
+            }
+            self.pending = 1 + len - end;
+        }
+        if self.pending > 8 {
+            self.h = self.h.wrapping_mul(POW[self.pending]);
+            self.pending = 0;
+        }
     }
 
     /// Absorbs a `usize` widened to 64 bits (stable across word sizes).
@@ -53,7 +108,7 @@ impl Fnv1a {
 
     /// The digest.
     pub fn finish(self) -> u64 {
-        self.0
+        self.h.wrapping_mul(POW[self.pending])
     }
 }
 
@@ -319,6 +374,104 @@ mod tests {
             chained_graph_hash(chained_graph_hash(g, a), b),
             chained_graph_hash(chained_graph_hash(g, b), a)
         );
+    }
+
+    /// The byte-at-a-time FNV-1a loop, from state `h`: the definition the
+    /// word-wise hasher must reproduce bit for bit.
+    fn reference(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+    }
+
+    #[test]
+    fn write_u64_matches_the_byte_wise_loop_on_every_zero_byte_mask() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xf00d);
+        // Bit i of the mask zeroes byte i; every other byte is nonzero. The
+        // 256 masks cover the all-zero word, zero runs at the low end, the
+        // high end and inside the word, and words with no zero byte.
+        for mask in 0..=255u32 {
+            for _ in 0..200 {
+                let bytes: [u8; 8] = std::array::from_fn(|i| {
+                    if mask >> i & 1 == 1 {
+                        0
+                    } else {
+                        rng.gen_range(1..=255u32) as u8
+                    }
+                });
+                // From every deferred state: `pending` zero bytes not yet
+                // multiplied in.
+                let (start, pending) = (rng.gen::<u64>(), rng.gen_range(0..=8usize));
+                let mut h = Fnv1a { h: start, pending };
+                h.write_u64(u64::from_le_bytes(bytes));
+                let state = start.wrapping_mul(POW[pending]);
+                assert_eq!(h.finish(), reference(state, &bytes), "bytes {bytes:02x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn write_bytes_matches_the_byte_wise_loop_at_every_length() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xbeef);
+        // Lengths 0..=64 cover every length mod 8, so every tail length.
+        // Zero bytes at rates up to 1 give zero runs of every shape,
+        // including runs across words and tails. Each string is also
+        // written in two parts, so a deferred zero run crosses the calls.
+        for len in 0..=64 {
+            for zero_rate in [0.5, 0.9, 1.0] {
+                for _ in 0..20 {
+                    let bytes: Vec<u8> = (0..len)
+                        .map(|_| {
+                            if rng.gen_bool(zero_rate) {
+                                0
+                            } else {
+                                rng.gen_range(0..=255u32) as u8
+                            }
+                        })
+                        .collect();
+                    let want = reference(FNV_OFFSET, &bytes);
+                    let mut h = Fnv1a::new();
+                    h.write_bytes(&bytes);
+                    assert_eq!(h.finish(), want, "bytes {bytes:02x?}");
+                    let (a, b) = bytes.split_at(rng.gen_range(0..=len));
+                    let mut h = Fnv1a::new();
+                    h.write_bytes(a);
+                    h.write_bytes(b);
+                    assert_eq!(h.finish(), want, "bytes {a:02x?} then {b:02x?}");
+                }
+            }
+        }
+    }
+
+    /// A graph whose weight bit patterns hold zero runs at the low end
+    /// (1.0, 0.5, 3.25) and inside the word (1 + ε = `0x3FF0_0000_0000_0001`).
+    fn golden_graph() -> Csr {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(1, 2, 0.5);
+        b.add_edge(2, 3, 3.25);
+        b.add_edge(3, 4, 1.0 + f64::EPSILON);
+        b.add_edge(4, 0, 1.0);
+        b.add_edge(1, 3, 1.0);
+        b.build()
+    }
+
+    /// Digests computed by the byte-at-a-time FNV-1a loop. Every cache key,
+    /// coalescing key and persisted snapshot depends on these; a change
+    /// here re-keys every cache in the field.
+    #[test]
+    fn digests_match_the_byte_wise_goldens() {
+        use cd_graph::DeltaBuilder;
+        assert_eq!(structural_hash(&golden_graph()), 0x4c05_b817_82cb_7248);
+        let mut b = DeltaBuilder::new(5);
+        b.insert(0, 2, 2.5).unwrap();
+        b.delete(1, 2).unwrap();
+        b.reweight(3, 4, 0.75).unwrap();
+        assert_eq!(delta_hash(&b.build()), 0x4812_3721_a0b4_b2b4);
+        assert_eq!(options_hash(&JobOptions::default()), 0x73a9_2274_1046_a0ef);
+        assert_eq!(chained_graph_hash(0x0123_4567_89ab_cdef, 0xff00), 0x9b13_4b75_ac13_6730);
     }
 
     #[test]

@@ -229,6 +229,22 @@ mod tests {
         assert_eq!(encode_snapshot(&decoded), bytes);
     }
 
+    /// The trailing checksum of `sample()`, computed by the byte-at-a-time
+    /// FNV-1a loop: snapshots written before the word-wise hasher must
+    /// still verify.
+    #[test]
+    fn checksum_matches_the_byte_wise_golden() {
+        const GOLDEN: u64 = 0xf5ef_0c10_a0ff_d95c;
+        let bytes = encode_snapshot(&sample());
+        let (body, sum) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(u64::from_le_bytes(sum.try_into().unwrap()), GOLDEN);
+        // The body under the golden checksum is a snapshot as the byte-wise
+        // encoder wrote it, and it decodes.
+        let mut old = body.to_vec();
+        old.extend_from_slice(&GOLDEN.to_le_bytes());
+        assert_eq!(decode_snapshot(&old), Ok(sample()));
+    }
+
     #[test]
     fn empty_snapshot_roundtrips() {
         let bytes = encode_snapshot(&[]);

@@ -44,7 +44,7 @@ use cd_core::{
     GpuLouvainError, StageAbort, ThresholdSchedule,
 };
 use cd_gpusim::{Device, DeviceConfig};
-use cd_graph::{apply_delta, Csr, DeltaBatch};
+use cd_graph::{apply_delta, Csr, DeltaBatch, DeltaError, VertexId};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,11 +173,11 @@ enum GraphBase {
 }
 
 /// Everything a submission resolved before admission: the (possibly
-/// patched) graph, its content key, how the registry holds it, and the
-/// optional warm-start material.
+/// patched) graph, its content key and the optional warm-start material.
 struct ProtoJob {
-    graph: Arc<Csr>,
-    base: GraphBase,
+    /// `None` only for a delta whose key admission settles from the cache
+    /// without ever queueing it.
+    graph: Option<Arc<Csr>>,
     options: JobOptions,
     key: CacheKey,
     footprint: usize,
@@ -328,6 +328,20 @@ enum Action {
     /// Nothing runnable right now (empty queue, or the head must wait for
     /// placement capacity).
     Wait,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `apply_delta` calls this thread has made through [`patch`].
+    static PATCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// [`apply_delta`], the O(graph) step a delta submission pays unless its
+/// key is already answered.
+fn patch(base: &Csr, batch: &DeltaBatch) -> Result<(Csr, Vec<VertexId>), DeltaError> {
+    #[cfg(test)]
+    PATCHES.with(|n| n.set(n.get() + 1));
+    apply_delta(base, batch)
 }
 
 /// Expires every queued job whose deadline has passed — leaders, queued
@@ -852,11 +866,13 @@ impl Server {
             inner.metrics.rejected += 1;
             return Err(Rejected::TooManyVertices(graph.num_vertices()));
         }
+        // Register the graph as a delta base — even when admission rejects
+        // the job, so a client can chain off a base whose own job was shed.
+        inner.bases.entry(key.graph).or_insert_with(|| GraphBase::Graph(Arc::clone(&graph)));
         self.admit(
             inner,
             ProtoJob {
-                base: GraphBase::Graph(Arc::clone(&graph)),
-                graph,
+                graph: Some(graph),
                 options,
                 key,
                 footprint,
@@ -899,10 +915,13 @@ impl Server {
         batch: &DeltaBatch,
         options: JobOptions,
     ) -> Result<JobId, Rejected> {
+        // Content-address the batch outside the lock: hashing is O(batch).
+        let delta = delta_hash(batch);
+        let opts_hash = options_hash(&options);
         // Resolve the base's recipe under the lock; replay it and patch
         // outside it — applying a delta is O(graph) work that must not
         // serialize the service.
-        let (base_hash, root, replay, seed) = {
+        let (base_hash, key, root, replay, seed) = {
             let mut inner = self.shared.lock();
             if inner.shutting_down {
                 inner.metrics.rejected += 1;
@@ -918,6 +937,43 @@ impl Server {
                 inner.metrics.rejected += 1;
                 return Err(Rejected::UnknownBase { base: unknown });
             };
+            // A resubmitted (base, batch) pair: admission answers its chained
+            // key from the cache or coalesces it onto the in-flight job, so
+            // it needs no replay, no patch and no structural hash. The key
+            // must also be a registered base: after a snapshot restore the
+            // registry is empty, and only the slow path registers the
+            // patched graph's hashes for later deltas to chain off.
+            let key = CacheKey { graph: chained_graph_hash(base_hash, delta), options: opts_hash };
+            if inner.bases.contains_key(&key.graph) {
+                // A follower carries the leader's run material, so a
+                // promoted follower runs the patched graph the leader would.
+                let material = match inner.inflight.get(&key) {
+                    Some(f) => {
+                        let j = &inner.jobs[&f.leader];
+                        Some((j.graph.clone(), j.footprint, j.warm.clone(), j.promote_key))
+                    }
+                    None if inner.cache.peek(&key).is_some() => Some((None, 0, None, None)),
+                    None => None,
+                };
+                if let Some((graph, footprint, warm, promote_key)) = material {
+                    let now = Instant::now();
+                    let deadline_at = options.deadline.map(|d| now + d);
+                    inner.metrics.delta_jobs += 1;
+                    return self.admit(
+                        inner,
+                        ProtoJob {
+                            graph,
+                            options,
+                            key,
+                            footprint,
+                            now,
+                            deadline_at,
+                            warm,
+                            promote_key,
+                        },
+                    );
+                }
+            }
             // Warm seed: the base's result under the same semantic options
             // (the key carries the algorithm, so a Louvain job can only be
             // seeded by a Louvain partition). A peek, not a lookup —
@@ -926,7 +982,7 @@ impl Server {
             // warm-start driver is the seeded modularity descent, and the
             // other portfolio members run cold (same result, no speedup).
             let seed = if options.algorithm == Algorithm::Louvain {
-                let base_key = CacheKey { graph: base_hash, options: options_hash(&options) };
+                let base_key = CacheKey { graph: base_hash, options: opts_hash };
                 inner.cache.peek(&base_key).or_else(|| match base {
                     DeltaBase::Job(id) => inner
                         .jobs
@@ -939,14 +995,14 @@ impl Server {
             } else {
                 None
             };
-            (base_hash, root, replay, seed)
+            (base_hash, key, root, replay, seed)
         };
 
         // Every replayed batch applied to the same parent once already, so
         // a failure here is a broken registry invariant, not a bad request.
         let base_graph = match replay
             .iter()
-            .try_fold(root, |g, link| apply_delta(&g, link).map(|(p, _)| Arc::new(p)))
+            .try_fold(root, |g, link| patch(&g, link).map(|(p, _)| Arc::new(p)))
         {
             Ok(g) => g,
             Err(e) => {
@@ -954,7 +1010,7 @@ impl Server {
                 return Err(Rejected::BaseReplayFailed { base: base_hash, reason: e.to_string() });
             }
         };
-        let (patched, touched) = match apply_delta(&base_graph, batch) {
+        let (patched, touched) = match patch(&base_graph, batch) {
             Ok(v) => v,
             Err(e) => {
                 self.shared.lock().metrics.rejected += 1;
@@ -962,11 +1018,6 @@ impl Server {
             }
         };
         let patched = Arc::new(patched);
-        let opts_hash = options_hash(&options);
-        let key = CacheKey {
-            graph: chained_graph_hash(base_hash, delta_hash(batch)),
-            options: opts_hash,
-        };
         let promote_key =
             CacheKey { graph: crate::hash::structural_hash(&patched), options: opts_hash };
         let footprint = estimated_device_bytes(&patched);
@@ -980,11 +1031,16 @@ impl Server {
             return Err(Rejected::ShuttingDown);
         }
         inner.metrics.delta_jobs += 1;
+        // Register the patched graph as a delta base under both hashes it
+        // answers to — even when admission rejects the job, so a client
+        // can chain off a base whose own job was shed.
+        let recipe = GraphBase::Patched { parent: base_hash, batch: Arc::new(batch.clone()) };
+        inner.bases.entry(key.graph).or_insert_with(|| recipe.clone());
+        inner.bases.entry(promote_key.graph).or_insert(recipe);
         self.admit(
             inner,
             ProtoJob {
-                graph: patched,
-                base: GraphBase::Patched { parent: base_hash, batch: Arc::new(batch.clone()) },
+                graph: Some(patched),
                 options,
                 key,
                 footprint,
@@ -1001,17 +1057,10 @@ impl Server {
     /// deadline and SLO gates, then the bounded queue. Consumes the lock
     /// guard and performs its own condvar notifications.
     fn admit(&self, mut inner: MutexGuard<'_, Inner>, proto: ProtoJob) -> Result<JobId, Rejected> {
-        let ProtoJob { graph, base, options, key, footprint, now, deadline_at, warm, promote_key } =
+        let ProtoJob { graph, options, key, footprint, now, deadline_at, warm, promote_key } =
             proto;
-        // Register the graph as a delta base under every hash it answers
-        // to — even for submissions the gates below reject, so a client can
-        // chain off a base whose own job was shed.
-        inner.bases.entry(key.graph).or_insert_with(|| base.clone());
-        if let Some(pk) = promote_key {
-            inner.bases.entry(pk.graph).or_insert(base);
-        }
         let state = |status, outcome| JobState {
-            graph: Some(Arc::clone(&graph)),
+            graph: graph.clone(),
             options,
             key,
             footprint,
@@ -1046,6 +1095,8 @@ impl Server {
             self.shared.done_cv.notify_all();
             return Ok(id);
         }
+        // Only a key answered above may arrive without its graph.
+        debug_assert!(graph.is_some(), "a job that can run holds its graph");
         // Dead on arrival: the deadline passed before admission. Admitted
         // (the caller holds an awaitable id) but expired immediately, never
         // occupying a queue slot.
@@ -1321,5 +1372,49 @@ mod tests {
         let err = server.submit_delta(DeltaBase::Graph(7), &next.build(), opts).unwrap_err();
         assert!(matches!(err, Rejected::BaseReplayFailed { base: 7, .. }), "got {err:?}");
         assert_eq!(server.metrics().rejected, 1);
+    }
+
+    #[test]
+    fn a_resubmitted_delta_settles_without_patching() {
+        let server = Server::new(ServerConfig::test_manual());
+        let n = 32;
+        let mut b = GraphBuilder::new(n);
+        for v in 0..n as u32 {
+            b.add_edge(v, (v + 1) % n as u32, 1.0);
+        }
+        let opts = JobOptions::default();
+        let base = server.submit(Arc::new(b.build()), opts).unwrap();
+        server.run_until_idle();
+        let mut d = DeltaBuilder::new(n);
+        d.insert(0, 16, 1.5).unwrap();
+        d.delete(1, 2).unwrap();
+        let batch = d.build();
+        let patches = || PATCHES.with(|p| p.get());
+
+        let first = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
+        assert_eq!(patches(), 1);
+        // In flight: the resubmission coalesces onto the first job.
+        let follower = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
+        assert_eq!(patches(), 1, "a coalesced resubmission does not patch");
+        server.run_until_idle();
+        let outcome = |id| match server.await_result(id) {
+            JobOutcome::Completed { result, path } => (result, path),
+            other => panic!("expected completion, got {other:?}"),
+        };
+        let (computed, path) = outcome(first);
+        assert!(!path.is_shared(), "{path:?}");
+        let (shared, path) = outcome(follower);
+        assert_eq!(path, ExecPath::Coalesced);
+        assert!(Arc::ptr_eq(&computed, &shared));
+
+        // Settled: the resubmission is a cache hit.
+        let hit = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
+        assert_eq!(patches(), 1, "a cached resubmission does not patch");
+        let (cached, path) = outcome(hit);
+        assert_eq!(path, ExecPath::CacheHit);
+        assert!(Arc::ptr_eq(&computed, &cached));
+        let m = server.metrics();
+        assert_eq!(m.delta_jobs, 3);
+        assert_eq!(m.exec.count, 2, "the base and the first delta ran; nothing else did");
     }
 }
