@@ -937,42 +937,33 @@ impl Server {
                 inner.metrics.rejected += 1;
                 return Err(Rejected::UnknownBase { base: unknown });
             };
-            // A resubmitted (base, batch) pair: admission answers its chained
-            // key from the cache or coalesces it onto the in-flight job, so
-            // it needs no replay, no patch and no structural hash. The key
-            // must also be a registered base: after a snapshot restore the
-            // registry is empty, and only the slow path registers the
-            // patched graph's hashes for later deltas to chain off.
+            // A resubmitted (base, batch) pair whose result is cached:
+            // admission answers the chained key from the cache, so it needs
+            // no replay, no patch and no structural hash. The key must also
+            // be a registered base: after a snapshot restore the registry is
+            // empty, and only the slow path registers the patched graph's
+            // hashes for later deltas to chain off. An in-flight duplicate
+            // takes the slow path, whose admission coalesces it.
             let key = CacheKey { graph: chained_graph_hash(base_hash, delta), options: opts_hash };
-            if inner.bases.contains_key(&key.graph) {
-                // A follower carries the leader's run material, so a
-                // promoted follower runs the patched graph the leader would.
-                let material = match inner.inflight.get(&key) {
-                    Some(f) => {
-                        let j = &inner.jobs[&f.leader];
-                        Some((j.graph.clone(), j.footprint, j.warm.clone(), j.promote_key))
-                    }
-                    None if inner.cache.peek(&key).is_some() => Some((None, 0, None, None)),
-                    None => None,
-                };
-                if let Some((graph, footprint, warm, promote_key)) = material {
-                    let now = Instant::now();
-                    let deadline_at = options.deadline.map(|d| now + d);
-                    inner.metrics.delta_jobs += 1;
-                    return self.admit(
-                        inner,
-                        ProtoJob {
-                            graph,
-                            options,
-                            key,
-                            footprint,
-                            now,
-                            deadline_at,
-                            warm,
-                            promote_key,
-                        },
-                    );
-                }
+            if inner.bases.contains_key(&key.graph)
+                && !inner.inflight.contains_key(&key)
+                && inner.cache.peek(&key).is_some()
+            {
+                let now = Instant::now();
+                inner.metrics.delta_jobs += 1;
+                return self.admit(
+                    inner,
+                    ProtoJob {
+                        graph: None,
+                        options,
+                        key,
+                        footprint: 0,
+                        now,
+                        deadline_at: options.deadline.map(|d| now + d),
+                        warm: None,
+                        promote_key: None,
+                    },
+                );
             }
             // Warm seed: the base's result under the same semantic options
             // (the key carries the algorithm, so a Louvain job can only be
@@ -1095,7 +1086,7 @@ impl Server {
             self.shared.done_cv.notify_all();
             return Ok(id);
         }
-        // Only a key answered above may arrive without its graph.
+        // Only a key the cache answered above may arrive without its graph.
         debug_assert!(graph.is_some(), "a job that can run holds its graph");
         // Dead on arrival: the deadline passed before admission. Admitted
         // (the caller holds an awaitable id) but expired immediately, never
@@ -1393,9 +1384,9 @@ mod tests {
 
         let first = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
         assert_eq!(patches(), 1);
-        // In flight: the resubmission coalesces onto the first job.
+        // In flight: the resubmission patches and coalesces onto the first job.
         let follower = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
-        assert_eq!(patches(), 1, "a coalesced resubmission does not patch");
+        assert_eq!(patches(), 2);
         server.run_until_idle();
         let outcome = |id| match server.await_result(id) {
             JobOutcome::Completed { result, path } => (result, path),
@@ -1407,9 +1398,9 @@ mod tests {
         assert_eq!(path, ExecPath::Coalesced);
         assert!(Arc::ptr_eq(&computed, &shared));
 
-        // Settled: the resubmission is a cache hit.
+        // Settled: the resubmission is a cache hit and does not patch.
         let hit = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
-        assert_eq!(patches(), 1, "a cached resubmission does not patch");
+        assert_eq!(patches(), 2, "a cached resubmission does not patch");
         let (cached, path) = outcome(hit);
         assert_eq!(path, ExecPath::CacheHit);
         assert!(Arc::ptr_eq(&computed, &cached));
