@@ -3,16 +3,18 @@
 //! `mergeCommunity`), the Thrust-style collectives, and atomic memory
 //! operations. These isolate the costs behind every table/figure. The
 //! `content_hash` group times the serving layer's content addressing, which
-//! every `cd-serve` submission pays before its cache lookup.
+//! a `cd-serve` submission pays before its cache lookup unless the server
+//! already holds the submitted graph.
 
 use cd_core::hashtable::{TableSpace, TableStorage};
 use cd_core::primes::table_size_for;
 use cd_gpusim::{
     BlockCounters, Device, DeviceConfig, GlobalF64, GroupCtx, Instrumented, Parallel, Profile,
 };
-use cd_serve::{structural_hash, Fnv1a};
+use cd_serve::{structural_hash, Fnv1a, JobOptions, Server, ServerConfig};
 use cd_workloads::{by_name, Scale};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 
 fn bench_hash_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_insert");
@@ -140,10 +142,40 @@ fn bench_atomics(c: &mut Criterion) {
 
 fn bench_content_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("content_hash");
-    let graph = by_name("cnr2000").expect("suite workload").build(Scale::Small).graph;
+    let graph = Arc::new(by_name("cnr2000").expect("suite workload").build(Scale::Small).graph);
     group.bench_function("structural_hash/cnr2000_small", |b| {
         b.iter(|| black_box(structural_hash(black_box(&graph))));
     });
+    // A cache-hit submission of the graph the server holds (no hash), and
+    // of an equal allocation it does not hold (one hash per submit). Each
+    // sample gets its own server, restored from one snapshot and holding
+    // `graph`, so the job record a server keeps per request stays bounded.
+    let opts = JobOptions::default();
+    let config = ServerConfig { cache_bytes: 64 << 20, ..ServerConfig::test_manual() };
+    let snap =
+        std::env::temp_dir().join(format!("cd-bench-content-hash-{}.snap", std::process::id()));
+    {
+        let server = Server::new(config.clone());
+        server.submit(Arc::clone(&graph), opts).expect("admitted");
+        server.run_until_idle();
+        server.snapshot_cache_to(&snap).expect("snapshot written");
+    }
+    let holding = || {
+        let server =
+            Server::new(ServerConfig { cache_snapshot: Some(snap.clone()), ..config.clone() });
+        server.submit(Arc::clone(&graph), opts).expect("admitted");
+        server
+    };
+    group.bench_function("submit_held/cnr2000_small", |b| {
+        let server = holding();
+        b.iter(|| server.submit(Arc::clone(&graph), opts).expect("admitted"));
+    });
+    let fresh = Arc::new((*graph).clone());
+    group.bench_function("submit_fresh/cnr2000_small", |b| {
+        let server = holding();
+        b.iter(|| server.submit(Arc::clone(&fresh), opts).expect("admitted"));
+    });
+    let _ = std::fs::remove_file(&snap);
     // The byte image of a 1 MiB cache snapshot: labels are small u32 ids.
     let snapshot: Vec<u8> = (0..1u32 << 18).flat_map(|i| (i % 5000).to_le_bytes()).collect();
     group.bench_function("write_bytes/1MiB_snapshot", |b| {

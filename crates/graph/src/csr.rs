@@ -28,6 +28,12 @@ pub type VertexId = u32;
 pub type Weight = f64;
 
 /// A weighted undirected graph in CSR form.
+///
+/// Immutable once built: no method takes `&mut self` and no field has
+/// interior mutability, so a `Csr` shared behind an `Arc` holds the bytes
+/// it was built with for as long as the allocation lives. `cd-serve` relies
+/// on this to remember the content hash of a graph it holds by the
+/// allocation's address; keep it that way.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
     /// `offsets[v]..offsets[v + 1]` indexes `v`'s adjacency in `targets` /

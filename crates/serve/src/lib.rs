@@ -24,10 +24,13 @@
 //!   deterministic ties). Jobs too large for any single device run the
 //!   exclusive multi-device path with its failover/degradation ladder.
 //! * **Content addressing** — results are keyed by a structural hash of the
-//!   CSR plus the result-affecting options. A repeat submission is answered
-//!   from the cache; an identical *in-flight* submission coalesces onto the
-//!   running job. Both paths hand out the same `Arc`, so reuse is
-//!   bit-identical by construction.
+//!   CSR plus the result-affecting options. The hash is paid once per graph
+//!   allocation the server holds (a resubmitted `Arc` finds it in the base
+//!   registry's reverse index) and once per submit of any other
+//!   allocation. A repeat submission is answered from the cache; an
+//!   identical *in-flight* submission coalesces onto the running job. Both
+//!   paths hand out the same `Arc`, so reuse is bit-identical by
+//!   construction.
 //! * **Cooperative lifecycle** — cancellation and deadlines are observed at
 //!   the dequeue checkpoint and at every stage checkpoint of the gated
 //!   driver; a run is never interrupted mid-stage.

@@ -32,7 +32,7 @@
 //! only at the dequeue checkpoint.
 
 use crate::cache::ResultCache;
-use crate::hash::{chained_graph_hash, delta_hash, options_hash, CacheKey};
+use crate::hash::{chained_graph_hash, delta_hash, options_hash, structural_hash, CacheKey};
 use crate::job::{
     DeltaBase, ExecPath, JobId, JobOptions, JobOutcome, JobStatus, Rejected, ServeResult,
 };
@@ -45,6 +45,7 @@ use cd_core::{
 };
 use cd_gpusim::{Device, DeviceConfig};
 use cd_graph::{apply_delta, Csr, DeltaBatch, DeltaError, VertexId};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -207,8 +208,18 @@ struct Inner {
     /// hash stands and entries are never removed, so every recipe names a
     /// parent registered before it and the parent links always end at a
     /// submitted graph. Entries are kept for the server lifetime, like the
-    /// job table.
+    /// job table. `held` indexes the `Graph` entries by allocation, so
+    /// anything that ever retires an entry must remove its `held` entry too.
     bases: HashMap<u64, GraphBase>,
+    /// Reverse index of `bases`: the structural hash of every allocation
+    /// held there as a [`GraphBase::Graph`], keyed by its address
+    /// (`Arc::as_ptr`). An entry is written only when `bases` gains that
+    /// `Graph` entry, and has the same lifetime, so `bases[held[p]]` is the
+    /// allocation at `p`. That allocation still holds the bytes that were
+    /// hashed: the registry's strong `Arc` keeps it alive, so its address
+    /// is never reused, and a shared [`Csr`] cannot be mutated in place.
+    /// [`Inner::held_hash`] still confirms the entry with `Arc::ptr_eq`.
+    held: HashMap<usize, u64>,
     metrics: MetricsState,
     next_id: u64,
     shutting_down: bool,
@@ -262,6 +273,26 @@ impl Inner {
                     hash = *parent;
                 }
             }
+        }
+    }
+
+    /// The structural hash of `graph`, without hashing it, when the
+    /// registry holds this very allocation as a submitted graph.
+    fn held_hash(&self, graph: &Arc<Csr>) -> Option<u64> {
+        let hash = *self.held.get(&(Arc::as_ptr(graph) as usize))?;
+        match self.bases.get(&hash) {
+            Some(GraphBase::Graph(g)) if Arc::ptr_eq(g, graph) => Some(hash),
+            _ => None,
+        }
+    }
+
+    /// Registers a submitted graph as a delta base under its structural
+    /// hash, and indexes its allocation, unless the hash is registered
+    /// already: the first registration stands.
+    fn register_graph(&mut self, hash: u64, graph: &Arc<Csr>) {
+        if let Entry::Vacant(slot) = self.bases.entry(hash) {
+            slot.insert(GraphBase::Graph(Arc::clone(graph)));
+            self.held.insert(Arc::as_ptr(graph) as usize, hash);
         }
     }
 
@@ -334,6 +365,16 @@ enum Action {
 thread_local! {
     /// `apply_delta` calls this thread has made through [`patch`].
     static PATCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// `structural_hash` calls this thread has made through [`graph_hash`].
+    static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// [`structural_hash`], the O(graph) step a submission pays unless the
+/// server already holds its allocation.
+fn graph_hash(graph: &Csr) -> u64 {
+    #[cfg(test)]
+    HASHES.with(|n| n.set(n.get() + 1));
+    structural_hash(graph)
 }
 
 /// [`apply_delta`], the O(graph) step a delta submission pays unless its
@@ -807,6 +848,7 @@ impl Server {
             cache,
             inflight: HashMap::new(),
             bases: HashMap::new(),
+            held: HashMap::new(),
             metrics,
             next_id: 0,
             shutting_down: false,
@@ -850,14 +892,30 @@ impl Server {
     /// identical in-flight job absorbs the submission as a follower
     /// ([`ExecPath::Coalesced`] — exempt from the queue bound, since it
     /// consumes no queue slot and no device time).
+    ///
+    /// The cache key needs the graph's structural hash. An allocation the
+    /// base registry holds (an `Arc` of a graph submitted earlier) takes it
+    /// from the registry's reverse index under the one admission lock, once
+    /// `Arc::ptr_eq` confirms that the registry entry for that hash is this
+    /// same allocation; it is never hashed again. Any other allocation,
+    /// content-equal or not, is hashed outside the lock on every submit.
     pub fn submit(&self, graph: Arc<Csr>, options: JobOptions) -> Result<JobId, Rejected> {
-        // Hash outside the lock: content addressing is O(graph) work.
-        let key = CacheKey::compute(&graph, &options);
+        let opts_hash = options_hash(&options);
         let footprint = estimated_device_bytes(&graph);
+        let mut inner = self.shared.lock();
+        let hash = match inner.held_hash(&graph) {
+            Some(hash) => hash,
+            None => {
+                // Hash outside the lock: content addressing is O(graph) work.
+                drop(inner);
+                let hash = graph_hash(&graph);
+                inner = self.shared.lock();
+                hash
+            }
+        };
+        let key = CacheKey { graph: hash, options: opts_hash };
         let now = Instant::now();
         let deadline_at = options.deadline.map(|d| now + d);
-
-        let mut inner = self.shared.lock();
         if inner.shutting_down {
             inner.metrics.rejected += 1;
             return Err(Rejected::ShuttingDown);
@@ -868,7 +926,7 @@ impl Server {
         }
         // Register the graph as a delta base — even when admission rejects
         // the job, so a client can chain off a base whose own job was shed.
-        inner.bases.entry(key.graph).or_insert_with(|| GraphBase::Graph(Arc::clone(&graph)));
+        inner.register_graph(key.graph, &graph);
         self.admit(
             inner,
             ProtoJob {
@@ -1009,8 +1067,7 @@ impl Server {
             }
         };
         let patched = Arc::new(patched);
-        let promote_key =
-            CacheKey { graph: crate::hash::structural_hash(&patched), options: opts_hash };
+        let promote_key = CacheKey { graph: graph_hash(&patched), options: opts_hash };
         let footprint = estimated_device_bytes(&patched);
         let now = Instant::now();
         let deadline_at = options.deadline.map(|d| now + d);
@@ -1337,15 +1394,38 @@ mod tests {
     use super::*;
     use cd_graph::{DeltaBuilder, GraphBuilder};
 
-    #[test]
-    fn a_recipe_that_does_not_replay_is_a_typed_rejection() {
-        let server = Server::new(ServerConfig::test_manual());
-        let n = 8;
+    fn ring(n: usize) -> Csr {
         let mut b = GraphBuilder::new(n);
         for v in 0..n as u32 {
             b.add_edge(v, (v + 1) % n as u32, 1.0);
         }
-        let ring = Arc::new(b.build());
+        b.build()
+    }
+
+    fn completed(server: &Server, id: JobId) -> (Arc<ServeResult>, ExecPath) {
+        match server.await_result(id) {
+            JobOutcome::Completed { result, path } => (result, path),
+            other => panic!("expected completion, got {other:?}"),
+        }
+    }
+
+    /// Calls of `counter` on this thread since this call.
+    fn calls_since(
+        counter: &'static std::thread::LocalKey<std::cell::Cell<usize>>,
+    ) -> impl Fn() -> usize {
+        let start = counter.with(|c| c.get());
+        move || counter.with(|c| c.get()) - start
+    }
+
+    fn key_of(server: &Server, id: JobId) -> CacheKey {
+        server.shared.lock().jobs[&id].key
+    }
+
+    #[test]
+    fn a_recipe_that_does_not_replay_is_a_typed_rejection() {
+        let server = Server::new(ServerConfig::test_manual());
+        let n = 8;
+        let ring = Arc::new(ring(n));
         let opts = JobOptions::default();
         server.submit(Arc::clone(&ring), opts).unwrap();
         server.run_until_idle();
@@ -1354,7 +1434,7 @@ mod tests {
         // edge its parent does not have.
         let mut broken = DeltaBuilder::new(n);
         broken.delete(0, 4).unwrap();
-        let parent = crate::hash::structural_hash(&ring);
+        let parent = structural_hash(&ring);
         let recipe = GraphBase::Patched { parent, batch: Arc::new(broken.build()) };
         server.shared.lock().bases.insert(7, recipe);
 
@@ -1369,18 +1449,14 @@ mod tests {
     fn a_resubmitted_delta_settles_without_patching() {
         let server = Server::new(ServerConfig::test_manual());
         let n = 32;
-        let mut b = GraphBuilder::new(n);
-        for v in 0..n as u32 {
-            b.add_edge(v, (v + 1) % n as u32, 1.0);
-        }
         let opts = JobOptions::default();
-        let base = server.submit(Arc::new(b.build()), opts).unwrap();
+        let base = server.submit(Arc::new(ring(n)), opts).unwrap();
         server.run_until_idle();
         let mut d = DeltaBuilder::new(n);
         d.insert(0, 16, 1.5).unwrap();
         d.delete(1, 2).unwrap();
         let batch = d.build();
-        let patches = || PATCHES.with(|p| p.get());
+        let patches = calls_since(&PATCHES);
 
         let first = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
         assert_eq!(patches(), 1);
@@ -1388,24 +1464,149 @@ mod tests {
         let follower = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
         assert_eq!(patches(), 2);
         server.run_until_idle();
-        let outcome = |id| match server.await_result(id) {
-            JobOutcome::Completed { result, path } => (result, path),
-            other => panic!("expected completion, got {other:?}"),
-        };
-        let (computed, path) = outcome(first);
+        let (computed, path) = completed(&server, first);
         assert!(!path.is_shared(), "{path:?}");
-        let (shared, path) = outcome(follower);
+        let (shared, path) = completed(&server, follower);
         assert_eq!(path, ExecPath::Coalesced);
         assert!(Arc::ptr_eq(&computed, &shared));
 
         // Settled: the resubmission is a cache hit and does not patch.
         let hit = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
         assert_eq!(patches(), 2, "a cached resubmission does not patch");
-        let (cached, path) = outcome(hit);
+        let (cached, path) = completed(&server, hit);
         assert_eq!(path, ExecPath::CacheHit);
         assert!(Arc::ptr_eq(&computed, &cached));
         let m = server.metrics();
         assert_eq!(m.delta_jobs, 3);
         assert_eq!(m.exec.count, 2, "the base and the first delta ran; nothing else did");
+    }
+
+    #[test]
+    fn a_held_graph_is_hashed_once() {
+        let server = Server::new(ServerConfig::test_manual());
+        let graph = Arc::new(ring(24));
+        let opts = JobOptions::default();
+        let hashes = calls_since(&HASHES);
+        let first = server.submit(Arc::clone(&graph), opts).unwrap();
+        server.run_until_idle();
+        let (computed, _) = completed(&server, first);
+        let again: Vec<JobId> =
+            (0..2).map(|_| server.submit(Arc::clone(&graph), opts).unwrap()).collect();
+        assert_eq!(hashes(), 1, "only the first submit hashes");
+        for id in again {
+            assert_eq!(key_of(&server, id), key_of(&server, first));
+            let (cached, path) = completed(&server, id);
+            assert_eq!(path, ExecPath::CacheHit);
+            assert!(Arc::ptr_eq(&computed, &cached));
+        }
+    }
+
+    #[test]
+    fn a_content_equal_allocation_is_hashed_on_every_submit() {
+        let server = Server::new(ServerConfig::test_manual());
+        let held = Arc::new(ring(24));
+        let opts = JobOptions::default();
+        let first = server.submit(Arc::clone(&held), opts).unwrap();
+        server.run_until_idle();
+        let (computed, _) = completed(&server, first);
+        let copy = Arc::new((*held).clone());
+        let hashes = calls_since(&HASHES);
+        for round in 1..=2 {
+            let id = server.submit(Arc::clone(&copy), opts).unwrap();
+            assert_eq!(hashes(), round, "the registry does not hold the copy");
+            assert_eq!(key_of(&server, id), key_of(&server, first));
+            let (cached, path) = completed(&server, id);
+            assert_eq!(path, ExecPath::CacheHit);
+            assert!(Arc::ptr_eq(&computed, &cached));
+        }
+    }
+
+    #[test]
+    fn a_graph_rewritten_through_make_mut_is_hashed_and_answered_anew() {
+        let server = Server::new(ServerConfig::test_manual());
+        let opts = JobOptions::default();
+        let mut client = Arc::new(ring(24));
+        let first = server.submit(Arc::clone(&client), opts).unwrap();
+        server.run_until_idle();
+        let (old, _) = completed(&server, first);
+
+        // The registry shares the allocation, so `make_mut` copies it.
+        let other = ring(30);
+        *Arc::make_mut(&mut client) = other.clone();
+        let hashes = calls_since(&HASHES);
+        let id = server.submit(Arc::clone(&client), opts).unwrap();
+        assert_eq!(hashes(), 1);
+        assert_eq!(key_of(&server, id).graph, structural_hash(&other));
+        server.run_until_idle();
+        let (new, path) = completed(&server, id);
+        assert!(!path.is_shared(), "{path:?}");
+        assert_eq!(new.partition.len(), 30);
+
+        // Both contents keep answering for themselves.
+        let again = server.submit(Arc::clone(&client), opts).unwrap();
+        assert_eq!(hashes(), 1, "the new allocation is held now");
+        let (cached, path) = completed(&server, again);
+        assert_eq!(path, ExecPath::CacheHit);
+        assert!(Arc::ptr_eq(&new, &cached));
+        let (cached, _) = completed(&server, server.submit(Arc::new(ring(24)), opts).unwrap());
+        assert!(Arc::ptr_eq(&old, &cached));
+    }
+
+    #[test]
+    fn a_graph_first_registered_as_a_recipe_is_hashed_on_every_submit() {
+        let server = Server::new(ServerConfig::test_manual());
+        let n = 32;
+        let opts = JobOptions::default();
+        let base_graph = ring(n);
+        let base = server.submit(Arc::new(base_graph.clone()), opts).unwrap();
+        server.run_until_idle();
+        let mut d = DeltaBuilder::new(n);
+        d.insert(0, 16, 1.5).unwrap();
+        let batch = d.build();
+        let delta = server.submit_delta(DeltaBase::Job(base), &batch, opts).unwrap();
+        server.run_until_idle();
+        let (patched_result, _) = completed(&server, delta);
+
+        // The patched graph's structural hash is registered as a recipe, so
+        // a submitted copy of that graph is never indexed.
+        let patched = Arc::new(apply_delta(&base_graph, &batch).unwrap().0);
+        let hashes = calls_since(&HASHES);
+        for round in 1..=2 {
+            let id = server.submit(Arc::clone(&patched), opts).unwrap();
+            assert_eq!(hashes(), round);
+            assert_eq!(key_of(&server, id).graph, structural_hash(&patched));
+            let (cached, path) = completed(&server, id);
+            assert_eq!(path, ExecPath::CacheHit);
+            assert!(Arc::ptr_eq(&patched_result, &cached));
+        }
+    }
+
+    #[test]
+    fn a_restored_server_hashes_a_held_graph_once() {
+        let dir = std::env::temp_dir().join(format!("cd-serve-held-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("cache.snap");
+        let graph = Arc::new(ring(24));
+        let opts = JobOptions::default();
+        let computed = {
+            let server = Server::new(ServerConfig::test_manual());
+            let id = server.submit(Arc::clone(&graph), opts).unwrap();
+            server.run_until_idle();
+            server.snapshot_cache_to(&snap).unwrap();
+            completed(&server, id).0
+        };
+
+        let server =
+            Server::new(ServerConfig { cache_snapshot: Some(snap), ..ServerConfig::test_manual() });
+        let hashes = calls_since(&HASHES);
+        for expected_hashes in [1, 1] {
+            let id = server.submit(Arc::clone(&graph), opts).unwrap();
+            assert_eq!(hashes(), expected_hashes);
+            let (restored, path) = completed(&server, id);
+            assert_eq!(path, ExecPath::CacheHit);
+            assert_eq!(restored.partition.as_slice(), computed.partition.as_slice());
+            assert_eq!(restored.modularity.to_bits(), computed.modularity.to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
