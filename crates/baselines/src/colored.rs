@@ -10,12 +10,10 @@
 //! algorithm at class granularity while exposing class-sized parallelism,
 //! and needs none of the singleton heuristics the synchronous sweep does.
 
-use crate::contract_par::contract_parallel;
-use crate::result::{LouvainResult, StageStats};
-use crate::scratch::NeighborScratch;
-use cd_graph::{modularity, parallel_coloring, Csr, Dendrogram, Partition, VertexId, Weight};
+use crate::result::LouvainResult;
+use crate::stages::{modularity_from_tot, run_stages};
+use cd_graph::{parallel_coloring, Csr, NeighborScratch, Partition, VertexId, Weight};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Configuration for the coloring-based baseline.
 #[derive(Clone, Copy, Debug)]
@@ -37,43 +35,7 @@ impl Default for ColoredConfig {
 
 /// Runs the full multi-stage coloring-based parallel Louvain.
 pub fn louvain_colored(graph: &Csr, cfg: &ColoredConfig) -> LouvainResult {
-    let start = Instant::now();
-    let mut dendrogram = Dendrogram::new();
-    let mut stages = Vec::new();
-    let mut current = graph.clone();
-    let mut q_prev = modularity(&current, &Partition::singleton(current.num_vertices()));
-
-    loop {
-        let opt_start = Instant::now();
-        let (partition, q_new, iterations) = one_phase(&current, cfg);
-        let opt_time = opt_start.elapsed();
-
-        let agg_start = Instant::now();
-        let (contracted, renumbered) = contract_parallel(&current, &partition);
-        let agg_time = agg_start.elapsed();
-
-        stages.push(StageStats {
-            num_vertices: current.num_vertices(),
-            num_edges: current.num_edges(),
-            iterations,
-            modularity: q_new,
-            opt_time,
-            agg_time,
-        });
-        dendrogram.push_level(renumbered);
-
-        if q_new - q_prev <= cfg.stage_threshold
-            || contracted.num_vertices() == current.num_vertices()
-        {
-            break;
-        }
-        q_prev = q_new;
-        current = contracted;
-    }
-
-    let partition = dendrogram.flatten();
-    let q = modularity(graph, &partition);
-    LouvainResult { partition, dendrogram, modularity: q, stages, total_time: start.elapsed() }
+    run_stages(graph, cfg.stage_threshold, |g| one_phase(g, cfg))
 }
 
 /// One phase: color the graph once, then sweep the color classes until the
@@ -94,7 +56,7 @@ fn one_phase(g: &Csr, cfg: &ColoredConfig) -> (Partition, f64, usize) {
     let mut tot: Vec<Weight> = k.clone();
     let max_deg = g.max_degree();
 
-    let mut q_cur = phase_modularity(g, &comm, &tot, two_m);
+    let mut q_cur = modularity_from_tot(g, &comm, &tot, two_m);
     let mut iterations = 0usize;
 
     while iterations < cfg.max_iterations {
@@ -128,7 +90,7 @@ fn one_phase(g: &Csr, cfg: &ColoredConfig) -> (Partition, f64, usize) {
             }
         }
 
-        let q_new = phase_modularity(g, &comm, &tot, two_m);
+        let q_new = modularity_from_tot(g, &comm, &tot, two_m);
         let gained = q_new - q_cur;
         q_cur = q_new;
         if moves == 0 || gained <= cfg.threshold {
@@ -177,30 +139,6 @@ fn decide(
     } else {
         ci
     }
-}
-
-fn phase_modularity(g: &Csr, comm: &[VertexId], tot: &[Weight], two_m: f64) -> f64 {
-    let inside: f64 = (0..g.num_vertices())
-        .into_par_iter()
-        .fold_chunks(
-            4096,
-            || 0.0f64,
-            |acc, i| {
-                let ci = comm[i];
-                let mut s = acc;
-                for (j, w) in g.edges(i as VertexId) {
-                    if comm[j as usize] == ci {
-                        s += w;
-                    }
-                }
-                s
-            },
-        )
-        .collect::<Vec<f64>>()
-        .iter()
-        .sum();
-    let tot_sq: f64 = tot.iter().map(|&t| (t / two_m) * (t / two_m)).sum();
-    inside / two_m - tot_sq
 }
 
 #[cfg(test)]

@@ -13,15 +13,13 @@
 #![warn(missing_docs)]
 
 pub mod colored;
-pub mod contract_par;
 pub mod parallel_cpu;
 pub mod plm;
 pub mod result;
-pub mod scratch;
 pub mod sequential;
+mod stages;
 
 pub use colored::{louvain_colored, ColoredConfig};
-pub use contract_par::contract_parallel;
 pub use parallel_cpu::{louvain_parallel_cpu, ParallelCpuConfig};
 pub use plm::{louvain_plm, PlmConfig};
 pub use result::{LouvainResult, StageStats};

@@ -14,22 +14,17 @@
 //! * **adaptive thresholds** — a coarse threshold (`1e-2`) while the graph is
 //!   larger than 100k vertices, the fine threshold (`1e-6`) afterwards.
 
-use crate::contract_par::contract_parallel;
-use crate::result::{LouvainResult, StageStats};
-use crate::scratch::NeighborScratch;
-use cd_graph::{modularity, Csr, Dendrogram, Partition, VertexId, Weight};
+use crate::result::LouvainResult;
+use crate::stages::{modularity_from_tot, run_stages};
+use cd_graph::{Csr, NeighborScratch, Partition, ThresholdSchedule, VertexId, Weight};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Configuration for the CPU-parallel baseline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ParallelCpuConfig {
-    /// Iteration threshold while the graph is large (the paper's `th_bin`).
-    pub threshold_bin: f64,
-    /// Iteration threshold once the graph is small (the paper's `th_final`).
-    pub threshold_final: f64,
-    /// Vertex count at which the threshold switches (100 000 in the paper).
-    pub size_limit: usize,
+    /// Iteration threshold by the stage graph's vertex count (the paper's
+    /// `th_bin` above 100 000 vertices, `th_final` below).
+    pub schedule: ThresholdSchedule,
     /// Stage loop ends when one stage gains less than this.
     pub stage_threshold: f64,
     /// Hard cap on iterations per phase (safety net against oscillation).
@@ -39,9 +34,7 @@ pub struct ParallelCpuConfig {
 impl Default for ParallelCpuConfig {
     fn default() -> Self {
         Self {
-            threshold_bin: 1e-2,
-            threshold_final: 1e-6,
-            size_limit: 100_000,
+            schedule: ThresholdSchedule::two_level(1e-2, 1e-6, 100_000),
             stage_threshold: 1e-6,
             max_iterations: 1000,
         }
@@ -50,49 +43,9 @@ impl Default for ParallelCpuConfig {
 
 /// Runs the full multi-stage CPU-parallel Louvain method.
 pub fn louvain_parallel_cpu(graph: &Csr, cfg: &ParallelCpuConfig) -> LouvainResult {
-    let start = Instant::now();
-    let mut dendrogram = Dendrogram::new();
-    let mut stages = Vec::new();
-    let mut current = graph.clone();
-    let mut q_prev = modularity(&current, &Partition::singleton(current.num_vertices()));
-
-    loop {
-        let threshold = if current.num_vertices() > cfg.size_limit {
-            cfg.threshold_bin
-        } else {
-            cfg.threshold_final
-        };
-
-        let opt_start = Instant::now();
-        let (partition, q_new, iterations) = one_phase(&current, threshold, cfg.max_iterations);
-        let opt_time = opt_start.elapsed();
-
-        let agg_start = Instant::now();
-        let (contracted, renumbered) = contract_parallel(&current, &partition);
-        let agg_time = agg_start.elapsed();
-
-        stages.push(StageStats {
-            num_vertices: current.num_vertices(),
-            num_edges: current.num_edges(),
-            iterations,
-            modularity: q_new,
-            opt_time,
-            agg_time,
-        });
-        dendrogram.push_level(renumbered);
-
-        if q_new - q_prev <= cfg.stage_threshold
-            || contracted.num_vertices() == current.num_vertices()
-        {
-            break;
-        }
-        q_prev = q_new;
-        current = contracted;
-    }
-
-    let partition = dendrogram.flatten();
-    let q = modularity(graph, &partition);
-    LouvainResult { partition, dendrogram, modularity: q, stages, total_time: start.elapsed() }
+    run_stages(graph, cfg.stage_threshold, |g| {
+        one_phase(g, cfg.schedule.threshold_for(g.num_vertices()), cfg.max_iterations)
+    })
 }
 
 /// One synchronous modularity-optimization phase. Returns the partition, its
@@ -111,7 +64,7 @@ pub fn one_phase(g: &Csr, threshold: f64, max_iterations: usize) -> (Partition, 
     let mut comm_size: Vec<u32> = vec![1; n];
     let max_deg = g.max_degree();
 
-    let mut q_cur = current_modularity(g, &comm, &tot, two_m);
+    let mut q_cur = modularity_from_tot(g, &comm, &tot, two_m);
     let mut iterations = 0usize;
     // Best-labeling guard (same as the GPU driver): a synchronous sweep can
     // collectively decrease modularity; never return worse than the best
@@ -148,7 +101,7 @@ pub fn one_phase(g: &Csr, threshold: f64, max_iterations: usize) -> (Partition, 
             }
         }
 
-        let q_new = current_modularity(g, &comm, &tot, two_m);
+        let q_new = modularity_from_tot(g, &comm, &tot, two_m);
         if q_new > best_q {
             best_q = q_new;
             best_comm = Some(comm.clone());
@@ -216,38 +169,11 @@ fn best_destination(
     }
 }
 
-/// Modularity from the maintained `tot` array plus a deterministic parallel
-/// accumulation of the intra-community edge weight.
-fn current_modularity(g: &Csr, comm: &[VertexId], tot: &[Weight], two_m: f64) -> f64 {
-    let n = g.num_vertices();
-    // Fixed-chunk parallel sum keeps the result deterministic.
-    let inside: f64 = (0..n)
-        .into_par_iter()
-        .fold_chunks(
-            4096,
-            || 0.0f64,
-            |acc, i| {
-                let ci = comm[i];
-                let mut s = acc;
-                for (j, w) in g.edges(i as VertexId) {
-                    if comm[j as usize] == ci {
-                        s += w;
-                    }
-                }
-                s
-            },
-        )
-        .collect::<Vec<f64>>()
-        .iter()
-        .sum();
-    let tot_sq: f64 = tot.iter().map(|&t| (t / two_m) * (t / two_m)).sum();
-    inside / two_m - tot_sq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cd_graph::gen::{cliques, planted_partition, star};
+    use cd_graph::modularity;
 
     #[test]
     fn finds_cliques() {

@@ -8,13 +8,11 @@
 //! update the community volumes atomically. This converges faster per sweep
 //! but is inherently nondeterministic.
 
-use crate::contract_par::contract_parallel;
-use crate::result::{LouvainResult, StageStats};
-use crate::scratch::NeighborScratch;
-use cd_graph::{modularity, Csr, Dendrogram, Partition, VertexId, Weight};
+use crate::result::LouvainResult;
+use crate::stages::run_stages;
+use cd_graph::{modularity, Csr, NeighborScratch, Partition, VertexId, Weight};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Configuration for PLM.
 #[derive(Clone, Copy, Debug)]
@@ -59,44 +57,11 @@ impl AtomicF64 {
 
 /// Runs the full multi-stage PLM.
 pub fn louvain_plm(graph: &Csr, cfg: &PlmConfig) -> LouvainResult {
-    let start = Instant::now();
-    let mut dendrogram = Dendrogram::new();
-    let mut stages = Vec::new();
-    let mut current = graph.clone();
-    let mut q_prev = modularity(&current, &Partition::singleton(current.num_vertices()));
-
-    loop {
-        let opt_start = Instant::now();
-        let (partition, iterations) = one_phase(&current, cfg);
-        let q_new = modularity(&current, &partition);
-        let opt_time = opt_start.elapsed();
-
-        let agg_start = Instant::now();
-        let (contracted, renumbered) = contract_parallel(&current, &partition);
-        let agg_time = agg_start.elapsed();
-
-        stages.push(StageStats {
-            num_vertices: current.num_vertices(),
-            num_edges: current.num_edges(),
-            iterations,
-            modularity: q_new,
-            opt_time,
-            agg_time,
-        });
-        dendrogram.push_level(renumbered);
-
-        if q_new - q_prev <= cfg.stage_threshold
-            || contracted.num_vertices() == current.num_vertices()
-        {
-            break;
-        }
-        q_prev = q_new;
-        current = contracted;
-    }
-
-    let partition = dendrogram.flatten();
-    let q = modularity(graph, &partition);
-    LouvainResult { partition, dendrogram, modularity: q, stages, total_time: start.elapsed() }
+    run_stages(graph, cfg.stage_threshold, |g| {
+        let (partition, iterations) = one_phase(g, cfg);
+        let q = modularity(g, &partition);
+        (partition, q, iterations)
+    })
 }
 
 /// One asynchronous local-moving phase.

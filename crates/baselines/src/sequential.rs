@@ -7,48 +7,34 @@
 //! which terminates the expensive early phases sooner at a small modularity
 //! cost.
 
-use crate::result::{LouvainResult, StageStats};
-use cd_graph::{contract, modularity, Csr, Dendrogram, Partition, VertexId, Weight};
-use std::time::Instant;
+use crate::result::LouvainResult;
+use crate::stages::run_stages;
+use cd_graph::{Csr, Partition, ThresholdSchedule, VertexId, Weight};
 
 /// Configuration for the sequential algorithm.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SequentialConfig {
-    /// A modularity-optimization pass loop ends when one full sweep improves
-    /// modularity by less than this.
-    pub pass_threshold: f64,
+    /// The pass threshold of each stage, by the stage graph's vertex count:
+    /// a modularity-optimization pass loop ends when one full sweep improves
+    /// modularity by less than it.
+    pub schedule: ThresholdSchedule,
     /// The stage loop (optimize + aggregate) ends when a stage improves
     /// modularity by less than this.
     pub stage_threshold: f64,
-    /// When set, graphs with more vertices than
-    /// [`SequentialConfig::adaptive_vertex_limit`] use this (larger) pass
-    /// threshold instead — the paper's adaptive-threshold modification.
-    pub adaptive_pass_threshold: Option<f64>,
-    /// Vertex-count limit for the adaptive threshold (the paper uses 100 000,
-    /// following Lu et al.).
-    pub adaptive_vertex_limit: usize,
 }
 
 impl SequentialConfig {
-    /// The original algorithm with the customary 1e-6 threshold.
+    /// The original algorithm with the customary 1e-6 threshold at every
+    /// size.
     pub fn original() -> Self {
-        Self {
-            pass_threshold: 1e-6,
-            stage_threshold: 1e-6,
-            adaptive_pass_threshold: None,
-            adaptive_vertex_limit: 100_000,
-        }
+        Self { schedule: ThresholdSchedule::multi_level(Vec::new(), 1e-6), stage_threshold: 1e-6 }
     }
 
     /// The paper's adaptive sequential baseline (Fig. 4): threshold `1e-2`
-    /// while the graph is larger than 100k vertices, `1e-6` afterwards.
+    /// while the graph is larger than 100k vertices (following Lu et al.),
+    /// `1e-6` afterwards.
     pub fn adaptive() -> Self {
-        Self {
-            pass_threshold: 1e-6,
-            stage_threshold: 1e-6,
-            adaptive_pass_threshold: Some(1e-2),
-            adaptive_vertex_limit: 100_000,
-        }
+        Self { schedule: ThresholdSchedule::two_level(1e-2, 1e-6, 100_000), stage_threshold: 1e-6 }
     }
 }
 
@@ -60,48 +46,9 @@ impl Default for SequentialConfig {
 
 /// Runs the full multi-stage sequential Louvain method.
 pub fn louvain_sequential(graph: &Csr, cfg: &SequentialConfig) -> LouvainResult {
-    let start = Instant::now();
-    let mut dendrogram = Dendrogram::new();
-    let mut stages = Vec::new();
-    let mut current = graph.clone();
-    let mut q_prev = modularity(&current, &Partition::singleton(current.num_vertices()));
-
-    loop {
-        let pass_threshold = match cfg.adaptive_pass_threshold {
-            Some(t) if current.num_vertices() > cfg.adaptive_vertex_limit => t,
-            _ => cfg.pass_threshold,
-        };
-
-        let opt_start = Instant::now();
-        let (partition, q_new, iterations) = one_level(&current, pass_threshold);
-        let opt_time = opt_start.elapsed();
-
-        let agg_start = Instant::now();
-        let (contracted, renumbered) = contract(&current, &partition);
-        let agg_time = agg_start.elapsed();
-
-        stages.push(StageStats {
-            num_vertices: current.num_vertices(),
-            num_edges: current.num_edges(),
-            iterations,
-            modularity: q_new,
-            opt_time,
-            agg_time,
-        });
-        dendrogram.push_level(renumbered);
-
-        if q_new - q_prev <= cfg.stage_threshold
-            || contracted.num_vertices() == current.num_vertices()
-        {
-            break;
-        }
-        q_prev = q_new;
-        current = contracted;
-    }
-
-    let partition = dendrogram.flatten();
-    let q = modularity(graph, &partition);
-    LouvainResult { partition, dendrogram, modularity: q, stages, total_time: start.elapsed() }
+    run_stages(graph, cfg.stage_threshold, |g| {
+        one_level(g, cfg.schedule.threshold_for(g.num_vertices()))
+    })
 }
 
 /// One modularity-optimization phase on one graph. Returns the partition,
@@ -291,8 +238,10 @@ mod tests {
         // Graph below the 100k adaptive limit: identical behaviour.
         assert_eq!(orig.partition.as_slice(), adapt.partition.as_slice());
         // Force the adaptive path with a tiny limit.
-        let mut cfg = SequentialConfig::adaptive();
-        cfg.adaptive_vertex_limit = 10;
+        let cfg = SequentialConfig {
+            schedule: ThresholdSchedule::two_level(1e-2, 1e-6, 10),
+            ..SequentialConfig::adaptive()
+        };
         let forced = louvain_sequential(&pg.graph, &cfg);
         assert!(forced.modularity > 0.9 * orig.modularity);
     }

@@ -7,6 +7,7 @@ use cd_baselines::{
     louvain_colored, louvain_parallel_cpu, louvain_plm, louvain_sequential, ColoredConfig,
     ParallelCpuConfig, PlmConfig, SequentialConfig,
 };
+use cd_bench::runner::run_seq_adaptive;
 use cd_core::{louvain_gpu, GpuLouvainConfig};
 use cd_gpusim::Device;
 use cd_workloads::{by_name, Scale};
@@ -28,9 +29,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             b.iter(|| black_box(louvain_sequential(&g, &SequentialConfig::original())));
         });
         group.bench_function(BenchmarkId::new("seq-adaptive", name), |b| {
-            let mut cfg = SequentialConfig::adaptive();
-            cfg.adaptive_vertex_limit = 1000;
-            b.iter(|| black_box(louvain_sequential(&g, &cfg)));
+            b.iter(|| black_box(run_seq_adaptive(&g, Scale::Tiny.size_limit())));
         });
         group.bench_function(BenchmarkId::new("cpu-parallel", name), |b| {
             b.iter(|| black_box(louvain_parallel_cpu(&g, &ParallelCpuConfig::default())));

@@ -40,9 +40,6 @@ fn bench_aggregate_phase(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("seq", name), |b| {
             b.iter(|| black_box(cd_graph::contract(&built.graph, &partition)));
         });
-        group.bench_function(BenchmarkId::new("cpu-par", name), |b| {
-            b.iter(|| black_box(cd_baselines::contract_parallel(&built.graph, &partition)));
-        });
     }
     group.finish();
 }

@@ -33,18 +33,10 @@ fn build(spec: &WorkloadSpec, scale: Scale) -> BuiltWorkload {
     cd_workloads::load(spec.name, scale).expect("suite specs resolve by name")
 }
 
-/// The paper's adaptive switch sits at 100k vertices, *below every graph in
-/// its collection* — i.e. every first stage ran under `th_bin`. Our
-/// workloads are scaled down, so the limit scales with them to preserve that
-/// regime (first stages coarse, contracted stages fine).
-fn size_limit(scale: Scale) -> usize {
-    1000 * scale.factor()
-}
-
 /// The paper-default GPU configuration with the scale-adjusted size limit.
 fn gpu_cfg(scale: Scale) -> GpuLouvainConfig {
     let mut cfg = GpuLouvainConfig::paper_default();
-    cfg.size_limit = size_limit(scale);
+    cfg.size_limit = scale.size_limit();
     cfg
 }
 
@@ -121,7 +113,7 @@ pub fn fig1_2(scale: Scale, out: &Path) -> Outcome {
             for (gi, b) in builds.iter().enumerate() {
                 let run = run_gpu(&b.graph, &{
                     let mut c = GpuLouvainConfig::with_thresholds(tb, tf);
-                    c.size_limit = size_limit(scale);
+                    c.size_limit = scale.size_limit();
                     c
                 });
                 q_grid[bi][fi][gi] = run.result.modularity;
@@ -199,16 +191,20 @@ pub fn fig3_4(scale: Scale, out: &Path) -> Outcome {
             "Q-orig",
             "Q-adapt",
             "Q-gpu",
+            "limit-adapt",
+            "limit-gpu",
         ],
     );
+    let limit = scale.size_limit();
     let (mut s3, mut s4, mut adapt_speed, mut q_drop) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for spec in SUITE {
         let built = build(spec, scale);
         let g = &built.graph;
         let orig = run_seq(g);
-        let adapt = run_seq_adaptive(g, size_limit(scale));
-        let gpu = run_gpu(g, &gpu_cfg(scale));
+        let adapt = run_seq_adaptive(g, limit);
+        let cfg = gpu_cfg(scale);
+        let gpu = run_gpu(g, &cfg);
         let sp3 = orig.total_time.as_secs_f64() / gpu.model_seconds;
         let sp4 = adapt.total_time.as_secs_f64() / gpu.model_seconds;
         s3.push(sp3);
@@ -227,6 +223,8 @@ pub fn fig3_4(scale: Scale, out: &Path) -> Outcome {
             f4(orig.modularity),
             f4(adapt.modularity),
             f4(gpu.result.modularity),
+            limit.to_string(),
+            cfg.size_limit.to_string(),
         ]);
     }
     t.print();
@@ -287,15 +285,27 @@ pub fn fig5_6(scale: Scale, out: &Path) -> Outcome {
 pub fn fig7(scale: Scale, out: &Path) -> Outcome {
     let mut t = Table::new(
         format!("Fig. 7 — GPU vs CPU-parallel Louvain (scale: {scale:?})"),
-        &["graph", "cpu-par[s]", "gpu-model[s]", "speedup", "Q-cpu", "Q-gpu", "hash-rate ratio"],
+        &[
+            "graph",
+            "cpu-par[s]",
+            "gpu-model[s]",
+            "speedup",
+            "Q-cpu",
+            "Q-gpu",
+            "hash-rate ratio",
+            "limit-cpu",
+            "limit-gpu",
+        ],
     );
+    let limit = scale.size_limit();
     let mut speeds = Vec::new();
     let mut hash_ratios = Vec::new();
     for spec in SUITE {
         let built = build(spec, scale);
         let g = &built.graph;
-        let cpu = run_cpu_parallel(g);
-        let gpu = run_gpu(g, &gpu_cfg(scale));
+        let cpu = run_cpu_parallel(g, limit);
+        let cfg = gpu_cfg(scale);
+        let gpu = run_gpu(g, &cfg);
         let sp = cpu.total_time.as_secs_f64() / gpu.model_seconds;
         speeds.push(sp);
         // First-iteration hashing rate: both algorithms hash all 2|E| edges
@@ -321,6 +331,8 @@ pub fn fig7(scale: Scale, out: &Path) -> Outcome {
             f4(cpu.modularity),
             f4(gpu.result.modularity),
             if hr.is_finite() { ratio(hr) } else { "-".into() },
+            limit.to_string(),
+            cfg.size_limit.to_string(),
         ]);
     }
     t.print();
@@ -382,7 +394,7 @@ pub fn plm(scale: Scale, out: &Path) -> Outcome {
     let names = ["copapers", "livejournal", "europe-osm", "uk2002"];
     let mut t = Table::new(
         format!("PLM comparison (paper: coPapersDBLP, soc-LiveJournal1, europe_osm, uk-2002; scale: {scale:?})"),
-        &["graph", "plm[s]", "gpu-model[s]", "speedup", "Q-plm", "Q-gpu"],
+        &["graph", "plm[s]", "gpu-model[s]", "speedup", "Q-plm", "Q-gpu", "limit-plm", "limit-gpu"],
     );
     let mut speeds = Vec::new();
     let mut qs = Vec::new();
@@ -391,7 +403,8 @@ pub fn plm(scale: Scale, out: &Path) -> Outcome {
         let built = build(spec, scale);
         let g = &built.graph;
         let plm = run_plm(g);
-        let gpu = run_gpu(g, &gpu_cfg(scale));
+        let cfg = gpu_cfg(scale);
+        let gpu = run_gpu(g, &cfg);
         let sp = plm.total_time.as_secs_f64() / gpu.model_seconds;
         speeds.push(sp);
         if plm.modularity > 0.0 {
@@ -404,6 +417,10 @@ pub fn plm(scale: Scale, out: &Path) -> Outcome {
             ratio(sp),
             f4(plm.modularity),
             f4(gpu.result.modularity),
+            // PLM stops on its move fraction at every size: no threshold
+            // switch applies to it.
+            "none".into(),
+            cfg.size_limit.to_string(),
         ]);
     }
     t.print();
@@ -665,7 +682,7 @@ pub fn schedule(scale: Scale, out: &Path) -> Outcome {
         let built = build(spec, scale);
         let g = &built.graph;
         let cfg = gpu_cfg(scale);
-        let limit = size_limit(scale);
+        let limit = scale.size_limit();
         let run = |sched: &ThresholdSchedule| {
             let dev = Device::new(DeviceConfig::tesla_k40m());
             let res = louvain_gpu_with_schedule(&dev, g, &cfg, sched).unwrap();
@@ -673,7 +690,7 @@ pub fn schedule(scale: Scale, out: &Path) -> Outcome {
             let model = dev.config().cycles_to_seconds(m.total_model_cycles(dev.config()));
             (res.modularity, model)
         };
-        let two = run(&ThresholdSchedule::two_level(cfg.threshold_bin, cfg.threshold_final, limit));
+        let two = run(&cfg.threshold_schedule());
         let four =
             run(&ThresholdSchedule::geometric(cfg.threshold_bin, cfg.threshold_final, limit, 3));
         t.row(vec![

@@ -31,7 +31,7 @@ use cd_baselines::{
 };
 use cd_core::{louvain_gpu, GpuLouvainConfig, GpuLouvainResult};
 use cd_gpusim::{Device, DeviceConfig, MetricsReport, Profile};
-use cd_graph::Csr;
+use cd_graph::{Csr, ThresholdSchedule};
 use std::time::{Duration, Instant};
 
 /// Result of a GPU run plus its device-side metrics.
@@ -122,17 +122,27 @@ pub fn run_seq(graph: &Csr) -> cd_baselines::LouvainResult {
     louvain_sequential(graph, &SequentialConfig::original())
 }
 
+/// The GPU's two-level threshold rule ([`GpuLouvainConfig::paper_default`]'s
+/// `th_bin`/`th_final`) switching at `size_limit` vertices, so a baseline
+/// compared against a GPU run shares its regime.
+fn paper_schedule(size_limit: usize) -> ThresholdSchedule {
+    GpuLouvainConfig { size_limit, ..GpuLouvainConfig::paper_default() }.threshold_schedule()
+}
+
 /// Runs the adaptive-threshold sequential baseline (paper Fig. 4) with an
 /// explicit vertex-count limit for the coarse threshold.
 pub fn run_seq_adaptive(graph: &Csr, size_limit: usize) -> cd_baselines::LouvainResult {
-    let mut cfg = SequentialConfig::adaptive();
-    cfg.adaptive_vertex_limit = size_limit;
+    let cfg =
+        SequentialConfig { schedule: paper_schedule(size_limit), ..SequentialConfig::adaptive() };
     louvain_sequential(graph, &cfg)
 }
 
-/// Runs the CPU-parallel (OpenMP-style) baseline with the paper's thresholds.
-pub fn run_cpu_parallel(graph: &Csr) -> cd_baselines::LouvainResult {
-    louvain_parallel_cpu(graph, &ParallelCpuConfig::default())
+/// Runs the CPU-parallel (OpenMP-style) baseline with the paper's thresholds
+/// switching at `size_limit` vertices.
+pub fn run_cpu_parallel(graph: &Csr, size_limit: usize) -> cd_baselines::LouvainResult {
+    let cfg =
+        ParallelCpuConfig { schedule: paper_schedule(size_limit), ..ParallelCpuConfig::default() };
+    louvain_parallel_cpu(graph, &cfg)
 }
 
 /// Runs the PLM baseline.
@@ -177,7 +187,7 @@ mod tests {
         let g = cliques(3, 6, true);
         assert!(run_seq(&g).modularity > 0.5);
         assert!(run_seq_adaptive(&g, 10).modularity > 0.5);
-        assert!(run_cpu_parallel(&g).modularity > 0.5);
+        assert!(run_cpu_parallel(&g, 10).modularity > 0.5);
         assert!(run_plm(&g).modularity > 0.5);
     }
 }

@@ -24,9 +24,8 @@ use crate::louvain::{
     leiden_gpu_gated, louvain_gpu_gated, GpuLouvainError, GpuLouvainResult, StageAbort,
     StageCheckpoint,
 };
-use crate::schedule::ThresholdSchedule;
 use cd_gpusim::Device;
-use cd_graph::Csr;
+use cd_graph::{Csr, ThresholdSchedule};
 
 /// Which community-detection algorithm a run executes. The default is the
 /// paper's Louvain method; the other members trade quality for speed
@@ -88,8 +87,7 @@ pub fn detect_communities(
     cfg: &GpuLouvainConfig,
     algorithm: Algorithm,
 ) -> Result<GpuLouvainResult, GpuLouvainError> {
-    let schedule =
-        ThresholdSchedule::two_level(cfg.threshold_bin, cfg.threshold_final, cfg.size_limit);
+    let schedule = cfg.threshold_schedule();
     detect_communities_gated(dev, graph, cfg, &schedule, algorithm, &mut |_| Ok(()))
 }
 

@@ -2,6 +2,7 @@
 //! threshold pair and bucket boundaries, plus the ablation switches the
 //! benchmark harness exercises.
 
+use cd_graph::ThresholdSchedule;
 use std::time::Duration;
 
 /// Retry policy for transient stage failures (injected kernel faults,
@@ -86,7 +87,7 @@ pub enum ThreadAssignment {
 /// Both kernel bucket tables ([`MODOPT_BUCKETS`], [`AGG_BUCKETS`]) are
 /// arrays of this type; [`crate::schedule::WidthSchedule`] wraps such a
 /// table as the piecewise-constant work-to-width mapping, the group-width
-/// twin of [`crate::schedule::ThresholdSchedule`].
+/// twin of [`cd_graph::ThresholdSchedule`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketSpec {
     /// Inclusive upper bound on the bucket's work measure; `usize::MAX`
@@ -216,6 +217,13 @@ impl GpuLouvainConfig {
     /// the knob Figs. 1 and 2 sweep.
     pub fn with_thresholds(threshold_bin: f64, threshold_final: f64) -> Self {
         Self { threshold_bin, threshold_final, ..Self::paper_default() }
+    }
+
+    /// The paper's two-level threshold rule these fields describe:
+    /// `threshold_bin` while a stage's graph has more than `size_limit`
+    /// vertices, `threshold_final` after.
+    pub fn threshold_schedule(&self) -> ThresholdSchedule {
+        ThresholdSchedule::two_level(self.threshold_bin, self.threshold_final, self.size_limit)
     }
 }
 

@@ -45,6 +45,7 @@ pub mod schedule;
 
 pub use aggregate::{aggregate as aggregate_graph, AggregateOutcome};
 pub use algorithm::{detect_communities, detect_communities_gated, Algorithm};
+pub use cd_graph::ThresholdSchedule;
 pub use config::{
     BucketSpec, GpuLouvainConfig, HashPlacement, RetryPolicy, ThreadAssignment, UpdateStrategy,
     AGG_BUCKETS, MODOPT_BUCKETS,
@@ -62,4 +63,4 @@ pub use modopt::{modularity_optimization, modularity_optimization_seeded, OptOut
 pub use multi_gpu::{louvain_multi_gpu, MultiGpuConfig, MultiGpuResult};
 pub use recovery::{retry_transient, DeviceFleet, RecoveryAction};
 pub use refine::refine_communities;
-pub use schedule::{ThresholdSchedule, WidthSchedule};
+pub use schedule::WidthSchedule;

@@ -11,9 +11,8 @@ use crate::modopt::{
     modularity_optimization, modularity_optimization_seeded, OptOutcome, WarmSeed,
 };
 use crate::recovery::retry_stage;
-use crate::schedule::ThresholdSchedule;
 use cd_gpusim::{Device, GlobalF64, GlobalU32, LaunchError};
-use cd_graph::{modularity, Csr, Dendrogram, Partition};
+use cd_graph::{modularity, Csr, Dendrogram, Partition, ThresholdSchedule};
 use std::time::{Duration, Instant};
 
 /// Errors a GPU Louvain run can report — admission failures, kernel launch
@@ -318,8 +317,7 @@ pub fn louvain_gpu(
     graph: &Csr,
     cfg: &GpuLouvainConfig,
 ) -> Result<GpuLouvainResult, GpuLouvainError> {
-    let schedule =
-        ThresholdSchedule::two_level(cfg.threshold_bin, cfg.threshold_final, cfg.size_limit);
+    let schedule = cfg.threshold_schedule();
     louvain_gpu_with_schedule(dev, graph, cfg, &schedule)
 }
 
@@ -364,8 +362,7 @@ pub fn leiden_gpu(
     graph: &Csr,
     cfg: &GpuLouvainConfig,
 ) -> Result<GpuLouvainResult, GpuLouvainError> {
-    let schedule =
-        ThresholdSchedule::two_level(cfg.threshold_bin, cfg.threshold_final, cfg.size_limit);
+    let schedule = cfg.threshold_schedule();
     leiden_gpu_gated(dev, graph, cfg, &schedule, &mut |_| Ok(()))
 }
 
@@ -487,8 +484,7 @@ pub fn louvain_warm_start(
     prev: &Partition,
     touched: &[u32],
 ) -> Result<GpuLouvainResult, GpuLouvainError> {
-    let schedule =
-        ThresholdSchedule::two_level(cfg.threshold_bin, cfg.threshold_final, cfg.size_limit);
+    let schedule = cfg.threshold_schedule();
     louvain_warm_start_gated(dev, graph, cfg, &schedule, prev, touched, &mut |_| Ok(()))
 }
 

@@ -69,7 +69,7 @@ use cd_baselines::{louvain_sequential, SequentialConfig};
 use cd_core::{
     estimated_device_bytes, halo_move_host, halo_move_pass, louvain_gpu, retry_transient,
     DeviceFleet, DeviceGraph, GpuLouvainConfig, GpuLouvainError, RecoveryAction, RetryPolicy,
-    ThresholdSchedule, WidthSchedule, MODOPT_BUCKETS,
+    WidthSchedule, MODOPT_BUCKETS,
 };
 use cd_gpusim::{DeviceConfig, FaultStats};
 use cd_graph::{
@@ -440,12 +440,7 @@ fn sharded_level(
     // Grinding past that point over-merges the level and bakes the damage
     // into the contraction — worst on hub-heavy graphs, where early
     // contraction is what makes later levels effective.
-    let threshold = ThresholdSchedule::two_level(
-        cfg.gpu.threshold_bin,
-        cfg.gpu.threshold_final,
-        cfg.gpu.size_limit,
-    )
-    .threshold_for(n);
+    let threshold = cfg.gpu.threshold_schedule().threshold_for(n);
 
     for superstep in 0..cfg.max_supersteps {
         let step_start = Instant::now();

@@ -1,12 +1,14 @@
-//! Sequential reference graph aggregation (the second phase of each Louvain
-//! stage): merge every community into a single vertex.
+//! Graph aggregation (the second phase of each Louvain stage): merge every
+//! community into a single vertex.
 //!
-//! The GPU aggregation kernel (`cd-core::aggregate`) is tested for exact
-//! agreement with this implementation.
+//! Every host-side Louvain — the CPU baselines, the multi-device merge and
+//! the sharded driver — contracts through [`contract`], and the GPU
+//! aggregation kernel (`cd-core::aggregate`) is tested for agreement with
+//! it.
 
 use crate::csr::{Csr, VertexId, Weight};
 use crate::partition::Partition;
-use std::collections::HashMap;
+use crate::scratch::NeighborScratch;
 
 /// Contracts `g` according to `p`: each community becomes one vertex, parallel
 /// edges between communities merge (weights summed) and intra-community edges
@@ -19,36 +21,60 @@ use std::collections::HashMap;
 /// Under the storage conventions of [`Csr`], the new self-loop weight of a
 /// community `c` is `in_c` (internal ordered pairs + old self-loops), which
 /// makes modularity invariant: `Q(contract(g, p), singleton) == Q(g, p)`.
+///
+/// The algorithm: a counting sort lists each community's members in
+/// ascending vertex id; one [`NeighborScratch`] then gathers each
+/// community's merged adjacency from its members' edges in CSR order, and
+/// the entries are emitted sorted by target. Every merged weight is
+/// therefore the f64 sum of its arcs in ascending member id, each member's
+/// arcs in CSR order. That is the order in which the GPU aggregation
+/// kernel's `mergeCommunity` adds them too (it sorts every member list into
+/// ascending vertex id first), so this reference and the kernel add the same
+/// terms in the same order.
 pub fn contract(g: &Csr, p: &Partition) -> (Csr, Partition) {
     assert_eq!(g.num_vertices(), p.len(), "partition/vertex count mismatch");
     let (renum, k) = p.renumbered();
+    let comm = renum.as_slice();
 
-    // Accumulate merged weights community-by-community. `acc[d]` collects the
-    // total weight from the community under construction to community `d`;
-    // the self-loop bucket naturally receives internal edges twice (once from
-    // each endpoint's adjacency) and old self-loops once.
-    let mut per_comm: Vec<HashMap<VertexId, Weight>> = vec![HashMap::new(); k];
-    for u in 0..g.num_vertices() as VertexId {
-        let cu = renum.community_of(u);
-        let acc = &mut per_comm[cu as usize];
-        for (v, w) in g.edges(u) {
-            *acc.entry(renum.community_of(v)).or_insert(0.0) += w;
-        }
+    // Counting sort: community c's members are members[start[c]..start[c + 1]].
+    let mut start = vec![0usize; k + 1];
+    for &c in comm {
+        start[c as usize + 1] += 1;
     }
+    for c in 0..k {
+        start[c + 1] += start[c];
+    }
+    let mut next = start.clone();
+    let mut members = vec![0 as VertexId; comm.len()];
+    for (v, &c) in comm.iter().enumerate() {
+        members[next[c as usize]] = v as VertexId;
+        next[c as usize] += 1;
+    }
+    let members_of = |c: usize| &members[start[c]..start[c + 1]];
 
+    // A community has at most as many distinct targets as it has arcs.
+    let max_arcs =
+        (0..k).map(|c| members_of(c).iter().map(|&v| g.degree(v)).sum()).max().unwrap_or(0);
+    let mut scratch = NeighborScratch::new(max_arcs.min(k));
     let mut offsets = Vec::with_capacity(k + 1);
     offsets.push(0usize);
     let mut targets = Vec::new();
     let mut weights = Vec::new();
-    for acc in per_comm {
-        // The self-loop bucket already holds `in_c`: each internal edge was
-        // visited from both endpoints (2w) and each old self-loop once.
-        let mut entries: Vec<(VertexId, Weight)> = acc.into_iter().collect();
-        entries.sort_unstable_by_key(|&(d, _)| d);
-        for (d, w) in entries {
-            targets.push(d);
-            weights.push(w);
+    let mut merged: Vec<(VertexId, Weight)> = Vec::new();
+    for c in 0..k {
+        // The self-loop bucket receives each internal edge from both
+        // endpoints (2w) and each old self-loop once: exactly `in_c`.
+        scratch.begin();
+        for &v in members_of(c) {
+            for (t, w) in g.edges(v) {
+                scratch.add(comm[t as usize], w);
+            }
         }
+        merged.clear();
+        merged.extend(scratch.iter());
+        merged.sort_unstable_by_key(|&(d, _)| d);
+        targets.extend(merged.iter().map(|&(d, _)| d));
+        weights.extend(merged.iter().map(|&(_, w)| w));
         offsets.push(targets.len());
     }
 

@@ -22,6 +22,8 @@ pub mod gen;
 pub mod io;
 pub mod modularity;
 pub mod partition;
+pub mod schedule;
+pub mod scratch;
 pub mod shard;
 pub mod stats;
 pub mod subgraph;
@@ -37,6 +39,8 @@ pub use delta::{
 };
 pub use modularity::{community_aggregates, modularity, modularity_gain, modularity_of_labels};
 pub use partition::{Dendrogram, Partition};
+pub use schedule::ThresholdSchedule;
+pub use scratch::NeighborScratch;
 pub use shard::{
     bfs_owners, bfs_owners_lazy, contiguous_owners, edge_cut_members, edge_cut_owners, shard_stats,
     Shard, ShardStats, ShardStrategy, ShardedCsr,

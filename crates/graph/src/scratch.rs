@@ -1,10 +1,11 @@
 //! Reusable per-thread neighbor-community accumulator.
 //!
 //! Open addressing with generation stamps: `begin()` is O(1), so one scratch
-//! instance serves millions of vertices without clearing. Used by the
-//! CPU-parallel baselines for the `e_{i→c}` gather that dominates Louvain.
+//! instance serves millions of vertices without clearing. Used by
+//! [`crate::contract()`] for each community's merged adjacency and by the CPU
+//! baselines for the `e_{i→c}` gather that dominates Louvain.
 
-use cd_graph::{VertexId, Weight};
+use crate::csr::{VertexId, Weight};
 
 /// Accumulates `(community, weight)` pairs for one vertex at a time.
 pub struct NeighborScratch {

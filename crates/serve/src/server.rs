@@ -41,7 +41,7 @@ use crate::queue::SubmissionQueue;
 use crate::scheduler::{BreakerConfig, DevicePool, Placement};
 use cd_core::{
     detect_communities_gated, estimated_device_bytes, louvain_warm_start_gated, Algorithm,
-    GpuLouvainError, StageAbort, ThresholdSchedule,
+    GpuLouvainError, StageAbort,
 };
 use cd_gpusim::{Device, DeviceConfig};
 use cd_graph::{apply_delta, Csr, DeltaBatch, DeltaError, VertexId};
@@ -558,11 +558,7 @@ fn execute(shared: &Shared, mut inner: MutexGuard<'_, Inner>, id: JobId, placeme
             }
             Device::try_new(slot_cfg).map_err(GpuLouvainError::Config).and_then(|dev| {
                 let cfg = &options.config;
-                let schedule = ThresholdSchedule::two_level(
-                    cfg.threshold_bin,
-                    cfg.threshold_final,
-                    cfg.size_limit,
-                );
+                let schedule = cfg.threshold_schedule();
                 let mut gate = |_cp: &cd_core::StageCheckpoint| {
                     if cancel.load(Ordering::SeqCst) {
                         return Err(StageAbort::Cancelled);

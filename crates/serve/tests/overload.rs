@@ -116,11 +116,17 @@ fn concurrent_submit_and_cancel_settle_every_job_exactly_once() {
     // Worker-mode server under a burst of submissions with mixed deadlines
     // while another thread cancels half of them. The invariant under test
     // is accounting: every admitted job reaches exactly one terminal state
-    // and the expiry checkpoint counters sum to the expiry total.
+    // and the expiry checkpoint counters sum to the expiry total. Shedding
+    // is off: once a worker settles a job the estimator is warm, and it
+    // would refuse the 1 ms jobs at the door depending on how fast the
+    // workers run (its own tests are `warmed_estimator_sheds_…` and
+    // `cold_estimator_never_sheds`). With it off, every submission here is
+    // admitted, whatever the host's speed.
     let server = Server::new(ServerConfig {
         workers: 2,
         queue_capacity: 64,
         sweep_interval: Duration::from_millis(1),
+        shed_unattainable: false,
         ..ServerConfig::test_manual()
     });
     let mut ids = Vec::new();

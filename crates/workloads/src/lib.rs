@@ -89,6 +89,19 @@ impl Scale {
         }
     }
 
+    /// The adaptive-threshold switch for graphs of this scale. The paper's
+    /// switch sits at 100,000 vertices, below every graph of its collection,
+    /// so every first stage ran under `th_bin`. These workloads are scaled
+    /// down, and the limit scales with them (1,000 × [`Scale::factor`]) to
+    /// keep that regime: first stages coarse, contracted stages fine. The
+    /// `repro` harness runs both sides of every comparison at this limit;
+    /// the library, serve and dist defaults stay at the paper's 100,000.
+    /// The benchmark package (`cdbench`) keeps its own copy of this rule,
+    /// frozen with the benchmark.
+    pub fn size_limit(self) -> usize {
+        1000 * self.factor()
+    }
+
     /// Parses `tiny|small|medium|large|huge` (case-insensitive). `smoke` is
     /// an alias for `tiny` — the name CI steps use for their fastest runs —
     /// and `xl` for `huge`.

@@ -3,6 +3,10 @@
 //! sequential Louvain, the fine-grained CPU-parallel Louvain (OpenMP
 //! analogue), and PLM.
 //!
+//! The adaptive sequential, CPU-parallel and GPU runs switch from `th_bin`
+//! to `th_final` at one limit, [`Scale::size_limit`] — the regime `repro`
+//! runs its comparisons in — so the three share a threshold regime.
+//!
 //! ```text
 //! cargo run --release --example compare_baselines [workload] [scale]
 //! ```
@@ -34,6 +38,11 @@ fn main() {
         g.num_edges()
     );
 
+    let gpu_cfg =
+        GpuLouvainConfig { size_limit: scale.size_limit(), ..GpuLouvainConfig::paper_default() };
+    let schedule = gpu_cfg.threshold_schedule();
+    println!("threshold switch at {} vertices (adaptive, CPU parallel, GPU)", gpu_cfg.size_limit);
+
     println!("{:<22} {:>10} {:>10} {:>8}", "algorithm", "time", "Q", "stages");
 
     let t = Instant::now();
@@ -47,7 +56,8 @@ fn main() {
     );
 
     let t = Instant::now();
-    let adapt = louvain_sequential(g, &SequentialConfig::adaptive());
+    let adapt_cfg = SequentialConfig { schedule: schedule.clone(), ..SequentialConfig::adaptive() };
+    let adapt = louvain_sequential(g, &adapt_cfg);
     println!(
         "{:<22} {:>10.2?} {:>10.4} {:>8}",
         "sequential adaptive",
@@ -57,7 +67,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let cpu = louvain_parallel_cpu(g, &ParallelCpuConfig::default());
+    let cpu = louvain_parallel_cpu(g, &ParallelCpuConfig { schedule, ..Default::default() });
     println!(
         "{:<22} {:>10.2?} {:>10.4} {:>8}",
         "CPU parallel (Lu etal)",
@@ -91,7 +101,7 @@ fn main() {
 
     let device = Device::k40m();
     let t = Instant::now();
-    let gpu = louvain_gpu(&device, g, &GpuLouvainConfig::paper_default()).unwrap();
+    let gpu = louvain_gpu(&device, g, &gpu_cfg).unwrap();
     let host = t.elapsed();
     println!(
         "{:<22} {:>10.2?} {:>10.4} {:>8}",

@@ -123,21 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_contraction_matches_sequential((g, p) in arb_graph_and_partition(20, 60)) {
-        let (seq, map_seq) = contract(&g, &p);
-        let (par, map_par) = community_gpu::baselines::contract_parallel(&g, &p);
-        prop_assert_eq!(map_seq.as_slice(), map_par.as_slice());
-        prop_assert_eq!(seq.num_vertices(), par.num_vertices());
-        prop_assert_eq!(seq.num_arcs(), par.num_arcs());
-        for v in 0..seq.num_vertices() as u32 {
-            prop_assert_eq!(seq.neighbors(v), par.neighbors(v));
-            for (a, b) in seq.edge_weights(v).iter().zip(par.edge_weights(v)) {
-                prop_assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn gpu_aggregation_preserves_modularity((g, p) in arb_graph_and_partition(18, 50)) {
         let dev = Device::k40m();
         // The kernel requires vertex-id community labels (its arrays are
